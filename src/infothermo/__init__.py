@@ -40,6 +40,7 @@ from .operators import (
 from .protocols import (
     ProtocolRecord,
     Quench,
+    Ramp,
     Thermalize,
     erasure_schedule,
     reconcile_demon,
@@ -80,6 +81,7 @@ __all__ = [
     "ProtocolRecord",
     "ProtocolSchedule",
     "Quench",
+    "Ramp",
     "StageWorkReport",
     "Temperature",
     "Thermalize",

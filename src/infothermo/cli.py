@@ -285,24 +285,37 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     config = _resolve(args, defaults)
     _require_seed(config)
     temp = float(config["temperature"])
+    summary_path = str(Path(config["out"]).with_suffix(".json"))
+    if Path(summary_path) == Path(config["out"]):
+        raise UsageError(f"--out {config['out']} would be overwritten by the JSON "
+                         "summary; use another suffix, e.g. .csv")
 
     ratio = float(config["ratio"])
-    if ratio == 1.0:
-        pot = symmetric_double_well(float(config["quartic"]), float(config["barrier"]))
-    else:
-        pot = tune_tilt_for_ratio(float(config["quartic"]), float(config["barrier"]),
-                                  ratio, temp)
+    try:
+        if ratio == 1.0:
+            pot = symmetric_double_well(float(config["quartic"]), float(config["barrier"]))
+        else:
+            pot = tune_tilt_for_ratio(float(config["quartic"]), float(config["barrier"]),
+                                      ratio, temp)
+    except ValueError as exc:
+        raise UsageError(f"no double well for ratio {ratio}: {exc}") from exc
     if config["schedule"]:
-        schedule = load_schedule(config["schedule"])
+        try:
+            schedule = load_schedule(config["schedule"])
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"{config['schedule']}: {exc}") from exc
     else:
         push = config["push_tilt"]
         schedule = erasure_protocol_schedule(
             pot, float(config["tau"]),
             push_tilt=None if push is None else float(push))
 
-    params = EnsembleParams(
-        n_traj=int(config["n_traj"]), seed=int(config["seed"]),
-        dt=float(config["dt"]), temperature=temp)
+    try:
+        params = EnsembleParams(
+            n_traj=int(config["n_traj"]), seed=int(config["seed"]),
+            dt=float(config["dt"]), temperature=temp)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         ensemble = simulate_erasure(pot, schedule, params)
     except ValueError as exc:
@@ -342,7 +355,6 @@ def cmd_langevin(args: argparse.Namespace) -> int:
         "jarzynski": jz.to_json(),
         "jarzynski_gated": je_gated,
     }
-    summary_path = str(Path(config["out"]).with_suffix(".json"))
     write_json(summary_path, summary)
 
     failed = (completed and landauer_margin < -3.0 * ensemble.stderr) or (

@@ -220,6 +220,27 @@ class TestLangevin:
     def test_requires_seed(self, tmp_path):
         assert main(["langevin", "--out", str(tmp_path / "l.csv")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-traj", "0"],
+        ["--schedule", "missing.json"],
+        ["--schedule", "malformed.json"],
+        ["--ratio", "1e6"],  # no tilt in the bracket reaches this ratio
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, flags):
+        (tmp_path / "malformed.json").write_text('{"duration": 1.0, "knots": [')
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        out = tmp_path / "l.csv"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
+                     "--out", str(out), *flags]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_colliding_with_summary_exits_2(self, tmp_path):
+        out = tmp_path / "runs.json"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
+                     "--format", "json", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infothermo.measurement import MeasurementModel, qc_mutual_information, random_classical_model
-from infothermo.memory import two_branch_layout, twobox_layout
+from infothermo.memory import random_layout, two_branch_layout, twobox_layout
 from infothermo.operators import diagonal_state
 from infothermo.protocols import (
     ACROSS,
@@ -10,6 +10,7 @@ from infothermo.protocols import (
     InvalidScheduleError,
     NotAnErasureError,
     Quench,
+    Ramp,
     Thermalize,
     branch_canonical_distribution,
     erasure_bound_suite,
@@ -69,6 +70,56 @@ class TestEngineBasics:
         assert abs(record.first_law_residual()) < 1e-9
 
 
+def expand_ramps(steps):
+    """Reference schedule for the step-by-step engine: each Ramp as explicit
+    Quench/Thermalize(ACROSS) pairs."""
+    out = []
+    for step in steps:
+        if isinstance(step, Ramp):
+            for frac in step.fractions:
+                out += [Quench(step.start * (1.0 - frac) + step.end * frac),
+                        Thermalize(ACROSS)]
+        else:
+            out.append(step)
+    return out
+
+
+class TestRampParity:
+    """The vectorised Ramp reproduces the step-by-step ledgers bit for bit."""
+
+    @staticmethod
+    def assert_same_run(layout, t, start, steps):
+        ramped = run_schedule(layout, t, start, steps)
+        reference = run_schedule(layout, t, start, expand_ramps(steps))
+        assert any(isinstance(s, Ramp) for s in steps)
+        assert ramped.work == reference.work
+        assert ramped.heat == reference.heat
+        assert np.array_equal(ramped.final_distribution, reference.final_distribution)
+        assert np.array_equal(ramped.final_energies, reference.final_energies)
+        assert ramped.first_law_residual() == reference.first_law_residual()
+
+    @pytest.mark.parametrize("seed,n", [(seed, n) for seed in range(4)
+                                        for n in (1, 2, 100)] + [(4, 10_000)])
+    def test_builders_match_step_by_step(self, seed, n):
+        rng = np.random.default_rng([11, seed])
+        layout = random_layout(rng)
+        t = float(rng.uniform(0.5, 2.0))
+        p = rng.dirichlet(np.ones(layout.outcome_count))
+        self.assert_same_run(layout, t, branch_canonical_distribution(layout, t, p),
+                             erasure_schedule(layout, t, p, n))
+        start = branch_canonical_distribution(
+            layout, t, np.eye(layout.outcome_count)[0])
+        for k in range(1, layout.outcome_count):
+            self.assert_same_run(layout, t, start,
+                                 measurement_transport_schedule(layout, t, k, n))
+
+    def test_ramp_length_checked(self):
+        layout = two_branch_layout(0.0)
+        ramp = Ramp(np.zeros(3), np.ones(3), [1.0])
+        with pytest.raises(ValueError, match="length"):
+            run_schedule(layout, 1.0, [0.5, 0.5], [ramp])
+
+
 class TestErasure:
     def test_symmetric_quasi_static_hits_landauer(self):
         layout = two_branch_layout(0.0)
@@ -99,6 +150,14 @@ class TestErasure:
     def test_unrestored_energies_rejected(self):
         layout = two_branch_layout(0.0)
         sched = [Quench(np.array([0.0, 60.0])), Thermalize(ACROSS)]
+        with pytest.raises(InvalidScheduleError):
+            run_erasure_protocol(layout, 1.0, [0.5, 0.5], sched)
+
+    def test_ramp_ending_away_from_base_rejected(self):
+        # the last Quench restores the base energies, but the Ramp after it does not
+        layout = two_branch_layout(0.0)
+        base = layout.level_energies()
+        sched = [Quench(base), Ramp(base, np.array([0.0, 60.0]), [0.5, 1.0])]
         with pytest.raises(InvalidScheduleError):
             run_erasure_protocol(layout, 1.0, [0.5, 0.5], sched)
 
