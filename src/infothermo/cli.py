@@ -5,42 +5,41 @@ Langevin simulator with reproducible, file-based outputs.  Exit codes form a
 stable contract: 0 success, 1 scientific-check failure, 2 input/usage error.
 Every subcommand is deterministic under (config, seed): rerunning produces
 byte-identical primary output files.
+
+Each option is declared once (`Option`); `_resolve` converts every flag and
+config-file value with it; a subcommand builds its inputs in one
+`_input_errors` block; `main` alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .langevin import (
-    EnsembleParams,
-    basin_free_energies,
-    erasure_protocol_schedule,
-    jarzynski_check,
-    load_schedule,
-    reset_free_energy,
-    simulate_erasure,
-    symmetric_double_well,
-    tune_tilt_for_ratio,
+    EnsembleParams, basin_free_energies, check_protocol, erasure_protocol_schedule,
+    jarzynski_check, reset_free_energy, schedule_from_json, simulate_erasure,
+    symmetric_double_well, tune_tilt_for_ratio,
 )
 from .measurement import (
-    InvalidMeasurementError,
-    model_from_json,
-    outcome_statistics,
-    qc_mutual_information,
-    shannon_entropy,
+    model_from_json, outcome_statistics, qc_mutual_information, shannon_entropy,
 )
+from .memory import two_branch_layout
 from .numerics import POLICY
-from .operators import DensityOperator, matrix_from_json
+from .operators import (
+    DensityOperator, MalformedPayloadError, matrix_from_json, temperature_value,
+)
 from .protocols import (
-    erasure_bound_suite,
-    erasure_convergence,
-    measurement_bound_suite,
+    erasure_bound_suite, erasure_convergence, measurement_bound_suite,
     szilard_reconciliation,
 )
 from .serialization import write_csv, write_json
@@ -52,36 +51,130 @@ EXIT_USAGE = 2
 
 
 class UsageError(Exception):
-    """Bad input file or option combination; maps to exit code 2."""
+    """Bad input file, option value or option combination; maps to exit code 2."""
 
 
-def _load_json_file(path: str):
+@contextmanager
+def _input_errors():
+    """Report a ValueError raised while a subcommand builds its inputs as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _load_json_file(path: str, parse: Callable = None):
+    """A JSON file's payload, read by the wire-format reader `parse` if given."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+            payload = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    try:
+        return payload if parse is None else parse(payload)
+    except MalformedPayloadError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Config precedence: CLI flags over config-file values over defaults."""
-    config = dict(defaults)
-    if getattr(args, "config", None):
+# ---------------------------------------------------------------------------
+# Options: each one is a --flag and a config-file key of the same name
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        return value
+    return convert
+
+
+def _json_or_csv(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError("expected json or csv")
+    return text
+
+
+@dataclass(frozen=True)
+class Option:
+    """One input: `convert` turns its text into the value, raising ValueError."""
+
+    name: str
+    convert: Callable[[str], object] = str
+    default: object = None
+    help: str = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, its flags and its config-file-only keys."""
+
+    run: Callable[[dict], int]
+    help: str
+    options: tuple[Option, ...]
+    config_only: tuple[Option, ...] = ()
+
+
+def _out(default: str) -> Option:
+    return Option("out", str, default, "output file path")
+
+
+def _format(default: str) -> Option:
+    return Option("format", _json_or_csv, default, "output format: json or csv")
+
+
+TEMPERATURE = Option("temperature", lambda text: temperature_value(_finite(text)), 1.0,
+                     "bath temperature (k_B = 1)")
+SEED = Option("seed", _at_least(0), help="random seed", required=True)
+
+
+def _resolve(args: argparse.Namespace, command: Command) -> dict:
+    """Config precedence: CLI flags over config-file values over defaults.
+
+    A config-file null counts as absent.  Every other value, from a flag or
+    from the file, goes through its option's converter, applied to its text.
+    """
+    options = command.options + command.config_only
+    given = {}
+    if args.config:
         payload = _load_json_file(args.config)
         if not isinstance(payload, dict):
             raise UsageError(f"{args.config}: config file must hold a JSON object")
-        unknown = set(payload) - set(defaults)
+        unknown = set(payload) - {opt.name for opt in options}
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        config.update(payload)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+        given.update(payload)
+    given.update((opt.name, getattr(args, opt.name)) for opt in command.options
+                 if getattr(args, opt.name) is not None)
+    config = {}
+    for opt in options:
+        value = given.get(opt.name)
+        if value is None:
+            if opt.required:
+                raise UsageError(f"{opt.flag} is required")
+            config[opt.name] = opt.default
+            continue
+        try:
+            if type(value) not in (str, int, float):
+                raise ValueError("expected a number or a string")
+            config[opt.name] = opt.convert(str(value))
+        except ValueError as exc:
+            raise UsageError(f"{opt.name} {json.dumps(value)}: {exc}") from exc
     return config
 
 
@@ -89,103 +182,59 @@ def _provenance(config: dict) -> dict:
     return {"version": __version__, "config": config}
 
 
-def _require_seed(config: dict):
-    if config.get("seed") is None:
-        raise UsageError("--seed is required for randomized subcommands")
-
-
 def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        start, stop, step = (float(v) for v in spec.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"invalid grid {spec!r}, expected start:stop:step") from exc
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"invalid grid {spec!r}, expected start:stop:step")
+    start, stop, step = (_finite(v) for v in parts)
     if step <= 0 or stop < start:
-        raise UsageError(f"invalid grid {spec!r}")
+        raise ValueError(f"invalid grid {spec!r}")
     count = int(round((stop - start) / step)) + 1
     grid = np.linspace(start, stop, count)
     if grid.min() <= 0.0 or grid.max() >= 1.0:
-        raise UsageError("grid values must lie strictly inside (0, 1)")
+        raise ValueError("grid values must lie strictly inside (0, 1)")
     return grid
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_qcmi(args: argparse.Namespace) -> int:
-    defaults = {"state": None, "povm": None, "out": "qcmi.json", "format": "json"}
-    config = _resolve(args, defaults)
-    if not config["state"] or not config["povm"]:
-        raise UsageError("--state and --povm input files are required")
-
-    state_payload = _load_json_file(config["state"])
-    povm_payload = _load_json_file(config["povm"])
+def cmd_qcmi(config: dict) -> int:
+    matrix = _load_json_file(config["state"], matrix_from_json)
     try:
-        matrix = matrix_from_json(state_payload)
-    except ValueError as exc:
-        raise UsageError(f"{config['state']}: {exc}") from exc
-
-    checks = {}
-    try:
+        model = _load_json_file(config["povm"], model_from_json)
         rho = DensityOperator(matrix)
-        model = model_from_json(povm_payload)
-        checks["inputs_valid"] = True
-    except InvalidMeasurementError as exc:
-        # structurally sound POVM payload violating a physics invariant
-        report = _provenance(config) | {"checks": {"inputs_valid": False},
-                                        "error": str(exc)}
-        write_json(config["out"], report)
-        print(f"qcmi: invariant failure: {exc}", file=sys.stderr)
-        return EXIT_SCIENCE
     except ValueError as exc:
-        if "malformed" in str(exc) or "payload" in str(exc):
-            raise UsageError(f"{config['povm']}: {exc}") from exc
-        report = _provenance(config) | {"checks": {"inputs_valid": False},
-                                        "error": str(exc)}
-        write_json(config["out"], report)
+        # a well-formed payload that violates a physics invariant
         print(f"qcmi: invariant failure: {exc}", file=sys.stderr)
-        return EXIT_SCIENCE
+        report = {"checks": {"inputs_valid": False}, "error": str(exc)}
+    else:
+        if rho.dim != model.dim:
+            raise UsageError(f"state dimension {rho.dim} differs from the "
+                             f"measurement dimension {model.dim}")
+        stats = outcome_statistics(rho, model)
+        h = shannon_entropy(stats.probabilities)
+        info = qc_mutual_information(rho, model)
+        report = {"H": h, "I": info, "p_k": stats.probabilities.tolist(), "checks": {
+            "inputs_valid": True,
+            "information_in_range": bool(-POLICY.bound <= info <= h + POLICY.bound),
+            "probabilities_normalized": bool(
+                abs(stats.probabilities.sum() - 1.0) <= POLICY.povm),
+        }}
+    write_json(config["out"], _provenance(config) | report)
+    if "I" in report:
+        print(f"qcmi: H = {report['H']:.6f} nats, I = {report['I']:.6f} nats "
+              f"-> {config['out']}")
+    return EXIT_OK if all(report["checks"].values()) else EXIT_SCIENCE
 
-    stats = outcome_statistics(rho, model)
-    h = shannon_entropy(stats.probabilities)
-    info = qc_mutual_information(rho, model)
-    checks["information_in_range"] = bool(-POLICY.bound <= info <= h + POLICY.bound)
-    checks["probabilities_normalized"] = bool(
-        abs(stats.probabilities.sum() - 1.0) <= POLICY.povm)
-    report = _provenance(config) | {
-        "H": h,
-        "I": info,
-        "p_k": stats.probabilities.tolist(),
-        "checks": checks,
-    }
-    write_json(config["out"], report)
-    ok = all(checks.values())
-    print(f"qcmi: H = {h:.6f} nats, I = {info:.6f} nats -> {config['out']}")
-    return EXIT_OK if ok else EXIT_SCIENCE
 
-
-def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": None,
-        "temperature": 1.0,
-        "instances": 100,
-        "n_steps": None,
-        "out": "bounds.json",
-        "format": "json",
-        "convergence_out": None,
-    }
-    config = _resolve(args, defaults)
-    _require_seed(config)
-    seed = int(config["seed"])
-    temp = float(config["temperature"])
-    n = int(config["instances"])
-    n_steps = config["n_steps"] if config["n_steps"] is None else int(config["n_steps"])
-
+def cmd_verify_bounds(config: dict) -> int:
+    temp, seed, n = config["temperature"], config["seed"], config["instances"]
+    n_steps = config["n_steps"]
     meas_rows = measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
     eras_rows = erasure_bound_suite(seed + 1, n, n_steps=n_steps, temperature=temp)
     fuzz_rows = erasure_bound_suite(seed + 2, n, fuzz=True, temperature=temp)
-    szilard = {
-        f"t={t}": szilard_reconciliation(t, temp).to_json() for t in (0.5, 0.8)
-    }
+    szilard = {f"t={t}": szilard_reconciliation(t, temp).to_json() for t in (0.5, 0.8)}
 
     margins = (
         [r["measurement_margin"] for r in meas_rows]
@@ -208,20 +257,16 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     write_json(config["out"], report)
 
     if config["convergence_out"]:
-        from .memory import two_branch_layout
-
         rows = erasure_convergence(two_branch_layout(0.0), temp, (0.5, 0.5),
                                    (100, 1000, 10000))
         write_csv(config["convergence_out"], ("n_steps", "W", "bound", "margin"), rows)
 
     if not ok:
-        offenders = []
-        for label, rows, key in (("measurement", meas_rows, "measurement_margin"),
-                                 ("erasure", eras_rows, "margin"),
-                                 ("fuzz", fuzz_rows, "margin")):
-            for r in rows:
-                if r.get(key, 0.0) < -POLICY.suite_margin:
-                    offenders.append(f"{label} seed={r['seed']} index={r['index']}")
+        suites = (("measurement", meas_rows, "measurement_margin"),
+                  ("erasure", eras_rows, "margin"), ("fuzz", fuzz_rows, "margin"))
+        offenders = [f"{label} seed={r['seed']} index={r['index']}"
+                     for label, rows, key in suites
+                     for r in rows if r.get(key, 0.0) < -POLICY.suite_margin]
         print("verify-bounds: VIOLATION "
               f"min margin {min_margin:.3e}; replay: {'; '.join(offenders)}",
               file=sys.stderr)
@@ -231,21 +276,13 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_twobox(args: argparse.Namespace) -> int:
-    defaults = {"t": None, "temperature": 1.0, "volume": 1.0,
-                "out": "twobox.json", "format": "json"}
-    config = _resolve(args, defaults)
-    if config["t"] is None:
-        raise UsageError("--t is required")
-    try:
-        params = TwoBoxParams(float(config["t"]), volume=float(config["volume"]),
-                              temperature=float(config["temperature"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_twobox(config: dict) -> int:
+    with _input_errors():
+        params = TwoBoxParams(config["t"], volume=config["volume"],
+                              temperature=config["temperature"])
     report = _provenance(config) | point_report(params)
     if config["format"] == "csv":
-        row = sweep([params.t], params.temperature)[0]
-        write_csv(config["out"], SWEEP_COLUMNS, [row])
+        write_csv(config["out"], SWEEP_COLUMNS, sweep([params.t], params.temperature))
     else:
         write_json(config["out"], report)
     print(f"twobox: t = {params.t}, W_eras = {report['W_eras']:.6f}, "
@@ -253,12 +290,10 @@ def cmd_twobox(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = {"grid": "0.1:0.9:0.1", "temperature": 1.0,
-                "out": "sweep.csv", "format": "csv"}
-    config = _resolve(args, defaults)
-    grid = _parse_grid(config["grid"])
-    rows = sweep(grid, float(config["temperature"]))
+def cmd_sweep(config: dict) -> int:
+    with _input_errors():
+        grid = _parse_grid(config["grid"])
+    rows = sweep(grid, config["temperature"])
     if config["format"] == "json":
         write_json(config["out"], _provenance(config) | {"rows": rows})
     else:
@@ -267,61 +302,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_langevin(args: argparse.Namespace) -> int:
-    defaults = {
-        "seed": None,
-        "temperature": 1.0,
-        "n_traj": 10_000,
-        "dt": 1e-3,
-        "tau": 750.0,
-        "ratio": 1.0,
-        "quartic": 1.0,
-        "barrier": 6.5,
-        "push_tilt": None,
-        "schedule": None,
-        "out": "langevin.csv",
-        "format": "csv",
-    }
-    config = _resolve(args, defaults)
-    _require_seed(config)
-    temp = float(config["temperature"])
-    summary_path = str(Path(config["out"]).with_suffix(".json"))
-    if Path(summary_path) == Path(config["out"]):
-        raise UsageError(f"--out {config['out']} would be overwritten by the JSON "
-                         "summary; use another suffix, e.g. .csv")
-
-    ratio = float(config["ratio"])
-    try:
-        if ratio == 1.0:
-            pot = symmetric_double_well(float(config["quartic"]), float(config["barrier"]))
+def cmd_langevin(config: dict) -> int:
+    with _input_errors():
+        summary_path = str(Path(config["out"]).with_suffix(".json"))
+        if Path(summary_path) == Path(config["out"]):
+            raise UsageError(f"--out {config['out']} would be overwritten by the JSON "
+                             "summary; use another suffix, e.g. .csv")
+        params = EnsembleParams(n_traj=config["n_traj"], seed=config["seed"],
+                                dt=config["dt"], temperature=config["temperature"])
+        temp = params.temperature
+        a, b, ratio = config["quartic"], config["barrier"], config["ratio"]
+        pot = (symmetric_double_well(a, b) if ratio == 1.0
+               else tune_tilt_for_ratio(a, b, ratio, temp))
+        eq = basin_free_energies(pot, temp)
+        if config["schedule"]:
+            schedule = _load_json_file(config["schedule"], schedule_from_json)
         else:
-            pot = tune_tilt_for_ratio(float(config["quartic"]), float(config["barrier"]),
-                                      ratio, temp)
-    except ValueError as exc:
-        raise UsageError(f"no double well for ratio {ratio}: {exc}") from exc
-    if config["schedule"]:
-        try:
-            schedule = load_schedule(config["schedule"])
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"{config['schedule']}: {exc}") from exc
-    else:
-        push = config["push_tilt"]
-        schedule = erasure_protocol_schedule(
-            pot, float(config["tau"]),
-            push_tilt=None if push is None else float(push))
+            schedule = erasure_protocol_schedule(pot, config["tau"],
+                                                 push_tilt=config["push_tilt"])
+        check_protocol(pot, schedule, params)
 
-    try:
-        params = EnsembleParams(
-            n_traj=int(config["n_traj"]), seed=int(config["seed"]),
-            dt=float(config["dt"]), temperature=temp)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        ensemble = simulate_erasure(pot, schedule, params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    eq = basin_free_energies(pot, temp)
+    ensemble = simulate_erasure(pot, schedule, params)
     bound = temp * shannon_entropy(params.initial_weights) - eq.delta_f
     landauer_margin = ensemble.mean_work - bound
     # the erasure bound applies to completed resets only
@@ -333,15 +334,9 @@ def cmd_langevin(args: argparse.Namespace) -> int:
     expected = reset_free_energy(pot, temp) if je_gated else 0.0
     jz = jarzynski_check(ensemble, expected)
 
-    rows = [
-        {
-            "trajectory_index": i,
-            "seed": int(ensemble.trajectory_seeds[i]),
-            "W": float(ensemble.works[i]),
-            "final_basin": int(ensemble.final_basins[i]),
-        }
-        for i in range(params.n_traj)
-    ]
+    columns = zip(ensemble.trajectory_seeds, ensemble.works, ensemble.final_basins)
+    rows = [{"trajectory_index": i, "seed": int(s), "W": float(w), "final_basin": int(b)}
+            for i, (s, w, b) in enumerate(columns)]
     write_csv(config["out"], ("trajectory_index", "seed", "W", "final_basin"), rows)
 
     summary = _provenance(config) | {
@@ -372,67 +367,69 @@ def cmd_langevin(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "qcmi": Command(cmd_qcmi, "information measures of a measurement", (
+        _out("qcmi.json"),
+        Option("state", help="density-matrix JSON file", required=True),
+        Option("povm", help="measurement-model JSON file", required=True),
+    )),
+    "verify-bounds": Command(cmd_verify_bounds, "randomized bound-verification suites", (
+        _out("bounds.json"), TEMPERATURE, SEED,
+        Option("instances", _at_least(1), 100, "instances per suite"),
+        Option("n_steps", _at_least(1), None,
+               "fixed protocol step count (default: randomized speeds)"),
+        Option("convergence_out", help="also emit the quasi-static convergence CSV here"),
+    )),
+    "twobox": Command(cmd_twobox, "two-box memory closed forms at one asymmetry", (
+        _out("twobox.json"), _format("json"), TEMPERATURE,
+        Option("t", _finite, help="left-box volume fraction in (0,1)", required=True),
+        Option("volume", _finite, 1.0, "total box volume"),
+    )),
+    "sweep": Command(cmd_sweep, "two-box work table over an asymmetry grid", (
+        _out("sweep.csv"), _format("csv"), TEMPERATURE,
+        Option("grid", str, "0.1:0.9:0.1", "start:stop:step inside (0,1)"),
+    )),
+    "langevin": Command(cmd_langevin, "double-well erasure simulation", (
+        _out("langevin.csv"), TEMPERATURE, SEED,
+        Option("n_traj", int, 10_000, "ensemble size"),
+        Option("dt", _finite, 1e-3, "time step"),
+        Option("tau", _finite, 750.0, "protocol duration"),
+        Option("ratio", _finite, 1.0,
+               "target basin weight ratio Z_left : Z_right (1 = symmetric)"),
+        Option("push_tilt", _finite, None, "tilt of the push stage"),
+        Option("schedule", help="protocol schedule JSON file"),
+    ), config_only=(
+        Option("quartic", _finite, 1.0),
+        Option("barrier", _finite, 6.5),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infothermo",
         description="Information-thermodynamics verification toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--temperature", type=float, help="bath temperature (k_B = 1)")
-
-    p = sub.add_parser("qcmi", help="information measures of a measurement")
-    common(p)
-    p.add_argument("--state", help="density-matrix JSON file")
-    p.add_argument("--povm", help="measurement-model JSON file")
-    p.set_defaults(handler=cmd_qcmi)
-
-    p = sub.add_parser("verify-bounds", help="randomized bound-verification suites")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--instances", type=int, help="instances per suite")
-    p.add_argument("--n-steps", dest="n_steps", type=int,
-                   help="fixed protocol step count (default: randomized speeds)")
-    p.add_argument("--convergence-out", dest="convergence_out",
-                   help="also emit the quasi-static convergence CSV here")
-    p.set_defaults(handler=cmd_verify_bounds)
-
-    p = sub.add_parser("twobox", help="two-box memory closed forms at one asymmetry")
-    common(p)
-    p.add_argument("--t", type=float, help="left-box volume fraction in (0,1)")
-    p.add_argument("--volume", type=float, help="total box volume")
-    p.set_defaults(handler=cmd_twobox)
-
-    p = sub.add_parser("sweep", help="two-box work table over an asymmetry grid")
-    common(p)
-    p.add_argument("--grid", help="start:stop:step inside (0,1)")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("langevin", help="double-well erasure simulation")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-traj", dest="n_traj", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tau", type=float, help="protocol duration")
-    p.add_argument("--ratio", type=float,
-                   help="target basin weight ratio Z_left : Z_right (1 = symmetric)")
-    p.add_argument("--push-tilt", dest="push_tilt", type=float)
-    p.add_argument("--schedule", help="protocol schedule JSON file")
-    p.set_defaults(handler=cmd_langevin)
+        for opt in command.options:
+            p.add_argument(opt.flag, dest=opt.name, help=opt.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        return command.run(_resolve(args, command))
+    except (UsageError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # an always-on cross-check or a divergence
+        print(f"{args.command}: check failed: {exc}", file=sys.stderr)
+        return EXIT_SCIENCE
 
 
 if __name__ == "__main__":

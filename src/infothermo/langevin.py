@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
+from .operators import MalformedPayloadError, temperature_value
+
 BARRIER_MIN_FACTOR = 8.0  # minimal barrier in units of T at protocol endpoints
 
 
@@ -158,21 +160,12 @@ def reset_free_energy(pot: PotentialSpec, temperature: float = 1.0) -> float:
     return float(-temperature * np.log(eq.p_eq_left))
 
 
-def harmonic_basin_free_energy(pot: PotentialSpec, temperature: float,
-                               basin: str) -> float:
-    """Gaussian (deep-well) approximation -T ln sqrt(2 pi T / V'') + V(x_min)."""
-    top = pot.barrier_top()
-    points = pot.critical_points()
-    minima = points[points != top]
-    x0 = minima[minima < top][0] if basin == "left" else minima[minima > top][-1]
-    curv = 12.0 * pot.coefficients[0] * x0 * x0 - 2.0 * pot.coefficients[1]
-    return float(pot.value(x0) - temperature * np.log(np.sqrt(2.0 * np.pi * temperature / curv)))
-
-
 def tune_tilt_for_ratio(a: float, b: float, ratio: float,
                         temperature: float = 1.0,
                         domain: tuple[float, float] = (-2.85, 2.85)) -> PotentialSpec:
     """Find the tilt c giving basin weights Z_left : Z_right = ratio : 1."""
+    if not (np.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
 
     def log_ratio(c):
         pot = PotentialSpec((a, b, c), *domain)
@@ -229,7 +222,7 @@ def schedule_from_json(payload: dict) -> ProtocolSchedule:
         times = np.array([float(e["time"]) for e in entries])
         knots = np.array([[float(v) for v in e["coefficients"]] for e in entries])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed schedule payload: {exc}") from exc
+        raise MalformedPayloadError(f"malformed schedule payload: {exc}") from exc
     return ProtocolSchedule(duration=duration, times=times, knots=knots)
 
 
@@ -298,6 +291,9 @@ class EnsembleParams:
             raise ValueError("n_traj must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
+        object.__setattr__(self, "temperature", temperature_value(self.temperature))
         w = self.initial_weights
         if len(w) != 2 or abs(w[0] + w[1] - 1.0) > 1e-12 or min(w) < 0:
             raise ValueError("initial_weights must be a two-entry distribution")
@@ -412,6 +408,14 @@ def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule,
             f"(max |V''| = {curv:.1f})")
 
 
+def check_protocol(pot: PotentialSpec, schedule: ProtocolSchedule,
+                   params: EnsembleParams):
+    """Reject a protocol that starts or ends without a memory, or whose dt is unstable."""
+    require_barrier(pot, params.temperature, tuple(schedule.knots[0]))
+    require_barrier(pot, params.temperature, tuple(schedule.knots[-1]))
+    check_timestep(pot, schedule, params.dt, params.gamma)
+
+
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
@@ -420,10 +424,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     Work is charged at parameter updates only, so a frozen protocol yields
     exactly zero work on every trajectory.
     """
+    check_protocol(pot, schedule, params)
     t_bath = params.temperature
-    require_barrier(pot, t_bath, tuple(schedule.knots[0]))
-    require_barrier(pot, t_bath, tuple(schedule.knots[-1]))
-    check_timestep(pot, schedule, params.dt, params.gamma)
 
     n_steps = int(round(schedule.duration / params.dt))
     grid = np.arange(n_steps + 1) * params.dt
@@ -562,15 +564,3 @@ def jarzynski_check(ensemble: TrajectoryEnsemble, delta_f: float,
         flagged=bool(abs(z) > 3.0),
         low_ess_warning=bool(ess < 10.0),
     )
-
-
-def equilibrium_positions(pot: PotentialSpec, temperature: float, n_traj: int,
-                          seed: int, duration: float = 5.0,
-                          dt: float = 1e-3) -> np.ndarray:
-    """Independent equilibrium samples: frozen protocol, one sample per trajectory."""
-    eq = basin_free_energies(pot, temperature)
-    params = EnsembleParams(
-        n_traj=n_traj, seed=seed, dt=dt, temperature=temperature,
-        initial_weights=(eq.p_eq_left, 1.0 - eq.p_eq_left))
-    ensemble = simulate_erasure(pot, frozen_schedule(pot, duration), params)
-    return ensemble.final_positions

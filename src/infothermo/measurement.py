@@ -15,6 +15,7 @@ import numpy as np
 from .numerics import POLICY
 from .operators import (
     DensityOperator,
+    MalformedPayloadError,
     entropy_of_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -445,6 +446,6 @@ def model_from_json(payload: dict) -> MeasurementModel:
         groups = tuple(
             tuple(matrix_from_json(m) for m in item["operators"]) for item in entries
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed measurement-model payload: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedPayloadError(f"malformed measurement-model payload: {exc}") from exc
     return MeasurementModel(groups)

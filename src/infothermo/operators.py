@@ -19,6 +19,10 @@ class SupportViolationError(ValueError):
     """Relative entropy is infinite: support(rho) is not inside support(sigma)."""
 
 
+class MalformedPayloadError(ValueError):
+    """A JSON payload does not have the structure of its wire format."""
+
+
 @dataclass(frozen=True)
 class Temperature:
     """Bath temperature in energy units (k_B = 1); must be positive."""
@@ -262,8 +266,8 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix payload: {exc}") from exc
+        raise MalformedPayloadError(f"malformed matrix payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
+        raise MalformedPayloadError(
             f"matrix payload shape mismatch: dim={dim}, re {re.shape}, im {im.shape}")
     return re + 1j * im

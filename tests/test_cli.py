@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,11 +239,72 @@ class TestLangevin:
     def test_out_colliding_with_summary_exits_2(self, tmp_path):
         out = tmp_path / "runs.json"
         assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
-                     "--format", "json", "--out", str(out)]) == 2
+                     "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_negative_ratio_exits_2_without_warnings(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
+                         "--ratio", "-1", "--out", str(tmp_path / "l.csv")]) == 2
 
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Each of these once ended in a traceback (the first sixteen) or with the
+# wrong exit code (the last three).  Relative paths resolve in tmp_path.
+VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
+LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
+REJECTED_INPUTS = [
+    pytest.param([*VERIFY, "--temperature", "-1"], None, id="verify-negative-temperature"),
+    pytest.param([*VERIFY, "--n-steps", "0"], None, id="verify-zero-steps"),
+    pytest.param(["verify-bounds", "--seed", "-1", "--instances", "1"], None,
+                 id="verify-negative-seed"),
+    pytest.param(["verify-bounds", "--seed", "1"], {"instances": "abc"},
+                 id="verify-config-instances-text"),
+    pytest.param(["verify-bounds", "--instances", "1"], {"seed": "x"},
+                 id="verify-config-seed-text"),
+    pytest.param(["sweep"], {"grid": 5}, id="sweep-config-grid-number"),
+    pytest.param(["sweep", "--grid", "0.1:0.9:nan"], None, id="sweep-nan-step"),
+    pytest.param(["sweep", "--grid", "0.1:inf:0.1"], None, id="sweep-inf-stop"),
+    pytest.param(["sweep", "--temperature", "-2"], None, id="sweep-negative-temperature"),
+    pytest.param(LANGEVIN, {"temperature": "hot"}, id="langevin-config-temperature-text"),
+    pytest.param([*LANGEVIN, "--temperature", "-1"], None,
+                 id="langevin-negative-temperature"),
+    pytest.param(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "-1"], None,
+                 id="langevin-negative-tau"),
+    pytest.param(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "inf"], None,
+                 id="langevin-infinite-tau"),
+    pytest.param([*LANGEVIN, "--push-tilt", "nan"], None, id="langevin-nan-push-tilt"),
+    pytest.param(["qcmi", "--state", "state2.json", "--povm", "povm3.json"], None,
+                 id="qcmi-dimension-mismatch"),
+    pytest.param(["twobox", "--t", "0.5", "--out", "missing/tb.json"], None,
+                 id="out-in-missing-directory"),
+    pytest.param([*VERIFY, "--temperature", "inf"], None, id="verify-infinite-temperature"),
+    pytest.param(["twobox", "--t", "0.5", "--temperature", "inf"], None,
+                 id="twobox-infinite-temperature"),
+    pytest.param(["verify-bounds", "--seed", "1", "--instances", "-3"], None,
+                 id="verify-negative-instances"),
+]
+
+
+@pytest.mark.parametrize("argv, config", REJECTED_INPUTS)
+def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys,
+                                                   argv, config):
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path / "state2.json", [0.5, 0.5])
+    (tmp_path / "povm3.json").write_text(json.dumps(model_to_json(projective_model(3))))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    if "--out" not in argv:
+        argv = [*argv, "--out", "out.csv"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{argv[0]}: error:" in err
+    assert not (tmp_path / "out.csv").exists()

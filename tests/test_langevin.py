@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -9,10 +11,8 @@ from infothermo.langevin import (
     UnstableTimestepError,
     _sample_initial_positions,
     basin_free_energies,
-    equilibrium_positions,
     erasure_protocol_schedule,
     frozen_schedule,
-    harmonic_basin_free_energy,
     jarzynski_check,
     load_schedule,
     reset_free_energy,
@@ -23,6 +23,29 @@ from infothermo.langevin import (
 )
 
 LN2 = np.log(2.0)
+
+
+def harmonic_basin_free_energy(pot: PotentialSpec, temperature: float,
+                               basin: str) -> float:
+    """Gaussian (deep-well) approximation -T ln sqrt(2 pi T / V'') + V(x_min)."""
+    top = pot.barrier_top()
+    points = pot.critical_points()
+    minima = points[points != top]
+    x0 = minima[minima < top][0] if basin == "left" else minima[minima > top][-1]
+    curv = 12.0 * pot.coefficients[0] * x0 * x0 - 2.0 * pot.coefficients[1]
+    return float(pot.value(x0) - temperature * np.log(np.sqrt(2.0 * np.pi * temperature / curv)))
+
+
+def equilibrium_positions(pot: PotentialSpec, temperature: float, n_traj: int,
+                          seed: int, duration: float = 5.0,
+                          dt: float = 1e-3) -> np.ndarray:
+    """Independent equilibrium samples: frozen protocol, one sample per trajectory."""
+    eq = basin_free_energies(pot, temperature)
+    params = EnsembleParams(
+        n_traj=n_traj, seed=seed, dt=dt, temperature=temperature,
+        initial_weights=(eq.p_eq_left, 1.0 - eq.p_eq_left))
+    ensemble = simulate_erasure(pot, frozen_schedule(pot, duration), params)
+    return ensemble.final_positions
 
 
 class TestPotential:
@@ -75,6 +98,13 @@ class TestBasinFreeEnergies:
         approx = harmonic_basin_free_energy(pot, 1.0, "left")
         assert abs(r.f_left - approx) / abs(approx) < 0.02
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, np.inf, np.nan])
+    def test_tune_rejects_ratio_before_search(self, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ratio must be positive and finite"):
+                tune_tilt_for_ratio(1.0, 6.5, ratio)
+
     def test_reset_free_energy_symmetric(self):
         assert reset_free_energy(symmetric_double_well()) == pytest.approx(LN2, abs=1e-9)
 
@@ -99,6 +129,18 @@ class TestSchedule:
         sched = erasure_protocol_schedule(pot, 10.0)
         assert np.allclose(sched.knots[0], pot.coefficients)
         assert np.allclose(sched.knots[-1], pot.coefficients)
+
+
+class TestEnsembleParams:
+    @pytest.mark.parametrize("temperature", [-1.0, 0.0, np.nan])
+    def test_rejects_nonpositive_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            EnsembleParams(n_traj=8, seed=0, temperature=temperature)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan])
+    def test_rejects_nonpositive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            EnsembleParams(n_traj=8, seed=0, gamma=gamma)
 
 
 class TestSimulation:
