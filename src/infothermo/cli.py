@@ -182,14 +182,21 @@ def _provenance(config: dict) -> dict:
     return {"version": __version__, "config": config}
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
+    """start:stop:step inside (0, 1), at most MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"invalid grid {spec!r}, expected start:stop:step")
     start, stop, step = (_finite(v) for v in parts)
     if step <= 0 or stop < start:
         raise ValueError(f"invalid grid {spec!r}")
-    count = int(round((stop - start) / step)) + 1
+    # capped before rounding: a tiny step makes the quotient huge or infinite
+    count = int(round(min((stop - start) / step, MAX_GRID_POINTS))) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     grid = np.linspace(start, stop, count)
     if grid.min() <= 0.0 or grid.max() >= 1.0:
         raise ValueError("grid values must lie strictly inside (0, 1)")
@@ -229,6 +236,10 @@ def cmd_qcmi(config: dict) -> int:
 
 
 def cmd_verify_bounds(config: dict) -> int:
+    if (config["convergence_out"]
+            and Path(config["convergence_out"]).resolve() == Path(config["out"]).resolve()):
+        raise UsageError(f"--convergence-out {config['convergence_out']} would overwrite "
+                         "the --out report; use another path")
     temp, seed, n = config["temperature"], config["seed"], config["instances"]
     n_steps = config["n_steps"]
     meas_rows = measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
@@ -387,7 +398,8 @@ COMMANDS = {
     )),
     "sweep": Command(cmd_sweep, "two-box work table over an asymmetry grid", (
         _out("sweep.csv"), _format("csv"), TEMPERATURE,
-        Option("grid", str, "0.1:0.9:0.1", "start:stop:step inside (0,1)"),
+        Option("grid", str, "0.1:0.9:0.1",
+               f"start:stop:step inside (0,1), at most {MAX_GRID_POINTS} points"),
     )),
     "langevin": Command(cmd_langevin, "double-well erasure simulation", (
         _out("langevin.csv"), TEMPERATURE, SEED,

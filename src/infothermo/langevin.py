@@ -307,7 +307,7 @@ class TrajectoryEnsemble:
     works: np.ndarray
     final_positions: np.ndarray
     final_basins: np.ndarray       # 0 = left (standard), 1 = right
-    trajectory_seeds: np.ndarray
+    trajectory_seeds: np.ndarray   # seed word of each trajectory's chunk stream
     barrier_top_final: float
 
     @property
@@ -343,58 +343,76 @@ class TrajectoryEnsemble:
 
 
 _NOISE_BLOCK = 1024
+_CHUNK = 128  # trajectories per random stream; part of the output's definition
 _FILL_THREADS = 2
-_FILL_TILE = 64
 
 
-def _fill_noise(noise: np.ndarray, generators, count: int, pool=None):
-    """Fill noise[:count, i] from each trajectory's own stream.
+def _chunk_columns(k: int, n_traj: int) -> slice:
+    """Trajectories of chunk k: columns [128 k, 128 k + 128), cut at n_traj."""
+    return slice(k * _CHUNK, min((k + 1) * _CHUNK, n_traj))
 
-    Each stream draws into a contiguous row of a small tile, which is then
-    copied transposed into the block.  Drawing straight into a column puts
-    every sample on its own page, and those fills did not overlap across
-    threads.  Streams are independent, threads write disjoint columns, so
-    the result is bit-identical regardless of scheduling.  float32 noise is
-    statistically indistinguishable here and halves the generation cost.
+
+def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32, pool):
+    """Fill noise[:count] with kick-scaled Gaussian increments, chunk by chunk.
+
+    Chunk k draws its (count, width) block from its own stream in one call,
+    in C order, so a trajectory's increments do not depend on the block
+    length or on any other chunk.  An increment is the float32 product of
+    the float32 normal and the float32 kick, one rounding (relative 2^-24)
+    away from the float64 product.  Threads take whole chunks and write
+    disjoint columns, so the result does not depend on the thread count or
+    on scheduling.  float32 noise is statistically indistinguishable here
+    and halves the generation cost.
     """
-    n = len(generators)
+    n_traj = noise.shape[1]
 
-    def fill_range(bounds):
-        lo, hi = bounds
-        tile = np.empty((_FILL_TILE, count), dtype=np.float32)
-        for t0 in range(lo, hi, _FILL_TILE):
-            t1 = min(t0 + _FILL_TILE, hi)
-            for gen, row in zip(generators[t0:t1], tile):
-                gen.standard_normal(count, np.float32, row)
-            noise[:count, t0:t1] = tile[:t1 - t0].T
+    def fill(chunks):
+        buf = np.empty(count * _CHUNK, dtype=np.float32)
+        for k in chunks:
+            cols = _chunk_columns(k, n_traj)
+            draw = buf[:count * (cols.stop - cols.start)].reshape(count, -1)
+            generators[k].standard_normal(dtype=np.float32, out=draw)
+            np.multiply(draw, kick, out=noise[:count, cols])
 
-    if pool is None or n < 2 * _FILL_THREADS:
-        fill_range((0, n))
+    chunks = range(len(generators))
+    if len(chunks) < 2:
+        fill(chunks)
         return
-    edges = np.linspace(0, n, _FILL_THREADS + 1).astype(int)
-    list(pool.map(fill_range, zip(edges[:-1], edges[1:])))
+    list(pool.map(fill, [chunks[t::_FILL_THREADS] for t in range(_FILL_THREADS)]))
 
 
 def _sample_initial_positions(pot: PotentialSpec, temperature: float,
-                              weights, generators) -> np.ndarray:
-    """Basin mixture, canonical within each basin, by rejection sampling."""
+                              weights, generators, n_traj: int) -> np.ndarray:
+    """Basin mixture, canonical within each basin, by rejection sampling.
+
+    Chunk k draws from its own stream its trajectories' basins, then rounds
+    of candidate positions and acceptance variates for the trajectories
+    still pending, until all are accepted.
+    """
     top = pot.barrier_top()
-    spans = ((pot.x_min, top), (top, pot.x_max))
-    floors = []
-    for lo, hi in spans:
-        grid = np.linspace(lo, hi, 512)
-        floors.append(pot.value(grid).min())
-    out = np.empty(len(generators))
-    for i, gen in enumerate(generators):
-        basin = 0 if gen.random() < weights[0] else 1
-        lo, hi = spans[basin]
-        floor = floors[basin]
-        while True:
-            x = gen.uniform(lo, hi)
-            if gen.random() < np.exp(-(pot.value(x) - floor) / temperature):
-                out[i] = x
-                break
+    lo = np.array([pot.x_min, top])
+    hi = np.array([top, pot.x_max])
+    floors = np.array([pot.value(np.linspace(l, h, 512)).min() for l, h in zip(lo, hi)])
+    out = np.empty(n_traj)
+    for k, gen in enumerate(generators):
+        cols = _chunk_columns(k, n_traj)
+        pending = np.arange(cols.start, cols.stop)
+        basin = (gen.random(pending.size) >= weights[0]).astype(np.intp)
+        while pending.size:
+            x = gen.uniform(lo[basin], hi[basin])
+            accept = gen.random(pending.size) < np.exp(
+                -(pot.value(x) - floors[basin]) / temperature)
+            out[pending[accept]] = x[accept]
+            pending, basin = pending[~accept], basin[~accept]
     return out
+
+
+def _check_finite(x: np.ndarray, traj_seeds: np.ndarray):
+    if np.isnan(x).any():
+        bad = int(np.flatnonzero(np.isnan(x))[0])
+        raise FloatingPointError(
+            f"trajectory {bad} (chunk {bad // _CHUNK}, column {bad % _CHUNK}, "
+            f"stream seed {traj_seeds[bad]}) diverged")
 
 
 def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule,
@@ -423,6 +441,17 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     Euler-Maruyama: x <- x - (1/gamma) V'(x) dt + sqrt(2 T dt / gamma) xi.
     Work is charged at parameter updates only, so a frozen protocol yields
     exactly zero work on every trajectory.
+
+    Random numbers come in chunks of 128 trajectories: trajectory i belongs
+    to chunk k = i // 128, whose stream is SFC64 seeded by
+    SeedSequence(seed, spawn_key=(k,)), the k-th child of
+    SeedSequence(seed).spawn.  That stream draws, in order, the chunk's
+    initial basins and rejection rounds (`_sample_initial_positions`), then
+    its noise, step by step in C order over (step, trajectory in chunk).
+    A full chunk's trajectories thus depend only on (seed, k), not on
+    n_traj or the thread count, and a chunk replays on its own; a partial
+    last chunk also depends on its width.  `trajectory_seeds[i]` is the
+    first 64-bit word of chunk k's seed state, shared by its trajectories.
     """
     check_protocol(pot, schedule, params)
     t_bath = params.temperature
@@ -432,63 +461,57 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     lam = schedule.coefficients_at(grid)          # (n_steps + 1, 3)
     dlam = np.diff(lam, axis=0)
 
-    seqs = np.random.SeedSequence(params.seed).spawn(params.n_traj)
+    n_chunks = -(-params.n_traj // _CHUNK)
+    seqs = np.random.SeedSequence(params.seed).spawn(n_chunks)
     generators = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
-    traj_seeds = np.array([s.generate_state(1, np.uint64)[0] for s in seqs],
-                          dtype=np.uint64)
+    chunk_seeds = np.array([s.generate_state(1, np.uint64)[0] for s in seqs],
+                           dtype=np.uint64)
+    traj_seeds = np.repeat(chunk_seeds, _CHUNK)[:params.n_traj]
 
-    x = _sample_initial_positions(pot, t_bath, params.initial_weights, generators)
+    x = _sample_initial_positions(pot, t_bath, params.initial_weights, generators,
+                                  params.n_traj)
     works = np.zeros(params.n_traj)
     drift = params.dt / params.gamma
-    kick = np.sqrt(2.0 * t_bath * params.dt / params.gamma)
+    kick = np.float32(np.sqrt(2.0 * t_bath * params.dt / params.gamma))
     noise = np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32)
     x2 = np.empty_like(x)
     tmp = np.empty_like(x)
-    pool = ThreadPoolExecutor(_FILL_THREADS) if params.n_traj >= 2 * _FILL_THREADS else None
 
     np.multiply(x, x, out=x2)              # x2 holds x * x at the top of every step
-    for j in range(n_steps):
-        offset = j % _NOISE_BLOCK
-        if offset == 0:
-            _fill_noise(noise, generators, min(_NOISE_BLOCK, n_steps - j), pool)
-            # the block's coefficients as Python floats: the same doubles,
-            # cheaper to unpack and to combine than numpy scalars
-            steps = lam[j:j + _NOISE_BLOCK].tolist()
-            increments = dlam[j:j + _NOISE_BLOCK].tolist()
-            if np.isnan(x).any():
-                bad = int(np.flatnonzero(np.isnan(x))[0])
-                raise FloatingPointError(
-                    f"trajectory {bad} (seed {traj_seeds[bad]}) diverged")
-        a, b, c = steps[offset]
-        np.multiply(x2, x, out=tmp)
-        tmp *= -4.0 * a * drift            # -dt/gamma * 4a x^3
-        x *= 1.0 + 2.0 * b * drift         # x + dt/gamma * 2b x
-        x += tmp
-        if c != 0.0:
-            x -= c * drift
-        np.multiply(noise[offset], kick, out=tmp)
-        x += tmp
-        np.maximum(x, pot.x_min, out=x)    # clamp; cheaper than np.clip
-        np.minimum(x, pot.x_max, out=x)
-        np.multiply(x, x, out=x2)          # for the work below and the next drift
-        da, db, dc = increments[offset]
-        if da != 0.0 or db != 0.0 or dc != 0.0:
-            if da != 0.0:
-                np.multiply(x2, x2, out=tmp)
-                tmp *= da
-                works += tmp
-            if db != 0.0:
-                np.multiply(x2, -db, out=tmp)
-                works += tmp
-            if dc != 0.0:
-                np.multiply(x, dc, out=tmp)
-                works += tmp
-
-    if pool is not None:
-        pool.shutdown()
-    if np.isnan(x).any():
-        bad = int(np.flatnonzero(np.isnan(x))[0])
-        raise FloatingPointError(f"trajectory {bad} (seed {traj_seeds[bad]}) diverged")
+    with ThreadPoolExecutor(_FILL_THREADS) as pool:
+        for j in range(n_steps):
+            offset = j % _NOISE_BLOCK
+            if offset == 0:
+                _fill_noise(noise, generators, min(_NOISE_BLOCK, n_steps - j), kick, pool)
+                # the block's coefficients as Python floats: the same doubles,
+                # cheaper to unpack and to combine than numpy scalars
+                steps = lam[j:j + _NOISE_BLOCK].tolist()
+                increments = dlam[j:j + _NOISE_BLOCK].tolist()
+                _check_finite(x, traj_seeds)
+            a, b, c = steps[offset]
+            np.multiply(x2, x, out=tmp)
+            tmp *= -4.0 * a * drift            # -dt/gamma * 4a x^3
+            x *= 1.0 + 2.0 * b * drift         # x + dt/gamma * 2b x
+            x += tmp
+            if c != 0.0:
+                x -= c * drift
+            x += noise[offset]                 # already scaled by the kick
+            np.maximum(x, pot.x_min, out=x)    # clamp; cheaper than np.clip
+            np.minimum(x, pot.x_max, out=x)
+            np.multiply(x, x, out=x2)          # for the work below and the next drift
+            da, db, dc = increments[offset]
+            if da != 0.0 or db != 0.0 or dc != 0.0:
+                if da != 0.0:
+                    np.multiply(x2, x2, out=tmp)
+                    tmp *= da
+                    works += tmp
+                if db != 0.0:
+                    np.multiply(x2, -db, out=tmp)
+                    works += tmp
+                if dc != 0.0:
+                    np.multiply(x, dc, out=tmp)
+                    works += tmp
+    _check_finite(x, traj_seeds)
 
     top_final = pot.barrier_top(tuple(lam[-1]))
     basins = (x >= top_final).astype(int)

@@ -121,6 +121,13 @@ class TestVerifyBounds:
         a["config"].pop("out"), b["config"].pop("out")
         assert a == b
 
+    def test_convergence_out_colliding_with_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "same.out"
+        assert main(["verify-bounds", "--seed", "1", "--instances", "1",
+                     "--out", str(out), "--convergence-out", str(out)]) == 2
+        assert "would overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_convergence_csv(self, tmp_path):
         out = tmp_path / "bounds.json"
         conv = tmp_path / "conv.csv"
@@ -255,8 +262,8 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-# Each of these once ended in a traceback (the first sixteen) or with the
-# wrong exit code (the last three).  Relative paths resolve in tmp_path.
+# Each of these once ended in a traceback (the first seventeen) or with the
+# wrong exit code (the last four).  Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
 LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
 REJECTED_INPUTS = [
@@ -271,6 +278,7 @@ REJECTED_INPUTS = [
     pytest.param(["sweep"], {"grid": 5}, id="sweep-config-grid-number"),
     pytest.param(["sweep", "--grid", "0.1:0.9:nan"], None, id="sweep-nan-step"),
     pytest.param(["sweep", "--grid", "0.1:inf:0.1"], None, id="sweep-inf-stop"),
+    pytest.param(["sweep", "--grid", "0.1:0.9:1e-12"], None, id="sweep-grid-too-fine"),
     pytest.param(["sweep", "--temperature", "-2"], None, id="sweep-negative-temperature"),
     pytest.param(LANGEVIN, {"temperature": "hot"}, id="langevin-config-temperature-text"),
     pytest.param([*LANGEVIN, "--temperature", "-1"], None,
@@ -289,6 +297,7 @@ REJECTED_INPUTS = [
                  id="twobox-infinite-temperature"),
     pytest.param(["verify-bounds", "--seed", "1", "--instances", "-3"], None,
                  id="verify-negative-instances"),
+    pytest.param(["sweep", "--grid", "0.1:0.9:5e-324"], None, id="sweep-subnormal-step"),
 ]
 
 

@@ -1,9 +1,11 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from infothermo import langevin
 from infothermo.langevin import (
     EnsembleParams,
     PotentialSpec,
@@ -160,8 +162,9 @@ class TestSimulation:
 
     def test_matches_stepwise_reference(self):
         # the blocked, threaded kernel against a plain Euler-Maruyama loop in
-        # the same arithmetic order, each trajectory's noise drawn in one call;
-        # 1500 steps end in a partial block, 130 trajectories in partial tiles
+        # the same arithmetic order, each chunk's noise drawn in one call for
+        # all steps from its documented stream; 1500 steps end in a partial
+        # block, 130 trajectories in a partial chunk
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
         params = EnsembleParams(n_traj=130, seed=5, dt=1e-3)
@@ -169,22 +172,52 @@ class TestSimulation:
 
         n_steps = 1500
         lam = sched.coefficients_at(np.arange(n_steps + 1) * params.dt)
-        seqs = np.random.SeedSequence(params.seed).spawn(params.n_traj)
+        seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in (0, 1)]
         gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
-        x = _sample_initial_positions(pot, 1.0, params.initial_weights, gens)
-        noise = np.stack([g.standard_normal(n_steps, dtype=np.float32) for g in gens],
-                         axis=1)
-        kick = np.sqrt(2.0 * params.dt)
+        x = _sample_initial_positions(pot, 1.0, params.initial_weights, gens, params.n_traj)
+        noise = np.hstack([gens[0].standard_normal((n_steps, 128), dtype=np.float32),
+                           gens[1].standard_normal((n_steps, 2), dtype=np.float32)])
+        noise *= np.float32(np.sqrt(2.0 * params.dt))   # float32 increments
         works = np.zeros(params.n_traj)
         for j in range(n_steps):
             a, b, c = lam[j]
             x = (x * (1.0 + 2.0 * b * params.dt) + x * x * x * (-4.0 * a * params.dt)
-                 - c * params.dt + noise[j] * kick)
+                 - c * params.dt + noise[j])
             x = np.clip(x, pot.x_min, pot.x_max)
             da, db, dc = lam[j + 1] - lam[j]
             works = works + (x * x) * (x * x) * da + (x * x) * -db + x * dc
         assert np.array_equal(ens.final_positions, x)
         assert np.array_equal(ens.works, works)
+        words = [s.generate_state(1, np.uint64)[0] for s in seqs]
+        assert np.array_equal(ens.trajectory_seeds, np.repeat(words, [128, 2]))
+
+    def test_chunk_independent_of_ensemble_size_and_threads(self):
+        # 128 trajectories are one chunk, filled serially; 300 are three
+        # chunks split across the fill threads; chunk 0 must come out the same
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        sched = erasure_protocol_schedule(pot, 1.5)
+        one = simulate_erasure(pot, sched, EnsembleParams(n_traj=128, seed=13))
+        three = simulate_erasure(pot, sched, EnsembleParams(n_traj=300, seed=13))
+        assert np.array_equal(one.works, three.works[:128])
+        assert np.array_equal(one.final_positions, three.final_positions[:128])
+        assert np.array_equal(one.trajectory_seeds, three.trajectory_seeds[:128])
+
+    def test_fill_independent_of_thread_count_and_switching(self, monkeypatch):
+        # more fill threads than cores and a very short switch interval must
+        # not change a bit: each chunk's stream writes only its own columns
+        pot = symmetric_double_well()
+        sched = erasure_protocol_schedule(pot, 1.1)
+        params = EnsembleParams(n_traj=700, seed=17)
+        base = simulate_erasure(pot, sched, params)
+        monkeypatch.setattr(langevin, "_FILL_THREADS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = simulate_erasure(pot, sched, params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(base.works, stressed.works)
+        assert np.array_equal(base.final_positions, stressed.final_positions)
 
     def test_seed_changes_results(self):
         pot = symmetric_double_well()
@@ -302,3 +335,27 @@ class TestEquilibriumSampling:
         assert counts.sum() == n
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.01
+
+    def test_initial_sampler_matches_boltzmann_per_basin(self):
+        # the chunked rejection sampler: basin counts against the requested
+        # weights, positions in each basin against e^{-V}/Z_basin by
+        # chi-square over 20 equal-probability bins
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        weights = (0.3, 0.7)
+        n = 20_000
+        gens = [np.random.Generator(np.random.SFC64(s))
+                for s in np.random.SeedSequence(83).spawn(-(-n // 128))]
+        xs = _sample_initial_positions(pot, 1.0, weights, gens, n)
+        top = pot.barrier_top()
+        left = xs < top
+        assert stats.binomtest(int(left.sum()), n, weights[0]).pvalue > 0.01
+        for sample, lo, hi in ((xs[left], pot.x_min, top), (xs[~left], top, pot.x_max)):
+            grid = np.linspace(lo, hi, 4001)
+            density = np.exp(-pot.value(grid))
+            cdf = np.concatenate([[0.0], integrate.cumulative_trapezoid(density, grid)])
+            cdf /= cdf[-1]
+            edges = np.interp(np.linspace(0.0, 1.0, 21), cdf, grid)
+            counts, _ = np.histogram(sample, bins=edges)
+            assert counts.sum() == sample.size
+            _, p_value = stats.chisquare(counts)
+            assert p_value > 0.01
