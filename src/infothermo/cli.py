@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .langevin import (
-    EnsembleParams, basin_free_energies, check_protocol, erasure_protocol_schedule,
-    jarzynski_check, reset_free_energy, schedule_from_json, simulate_erasure,
-    symmetric_double_well, tune_tilt_for_ratio,
+    MAX_STEPS, EnsembleParams, basin_free_energies, check_protocol,
+    erasure_protocol_schedule, jarzynski_check, reset_free_energy, schedule_from_json,
+    simulate_erasure, symmetric_double_well, tune_tilt_for_ratio,
 )
 from .measurement import (
     model_from_json, outcome_statistics, qc_mutual_information, shannon_entropy,
@@ -90,11 +90,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def _at_least(minimum: int) -> Callable[[str], int]:
+def _integer(minimum: int, maximum: int = None) -> Callable[[str], int]:
     def convert(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise ValueError(f"must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be <= {maximum}")
         return value
     return convert
 
@@ -140,7 +142,7 @@ def _format(default: str) -> Option:
 
 TEMPERATURE = Option("temperature", lambda text: temperature_value(_finite(text)), 1.0,
                      "bath temperature (k_B = 1)")
-SEED = Option("seed", _at_least(0), help="random seed", required=True)
+SEED = Option("seed", _integer(0), help="random seed", required=True)
 
 
 def _resolve(args: argparse.Namespace, command: Command) -> dict:
@@ -183,6 +185,8 @@ def _provenance(config: dict) -> dict:
 
 
 MAX_GRID_POINTS = 100_000
+# the langevin noise block holds 1024 float32 kicks per trajectory: 0.4 GB here
+MAX_TRAJECTORIES = 100_000
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -386,8 +390,8 @@ COMMANDS = {
     )),
     "verify-bounds": Command(cmd_verify_bounds, "randomized bound-verification suites", (
         _out("bounds.json"), TEMPERATURE, SEED,
-        Option("instances", _at_least(1), 100, "instances per suite"),
-        Option("n_steps", _at_least(1), None,
+        Option("instances", _integer(1), 100, "instances per suite"),
+        Option("n_steps", _integer(1), None,
                "fixed protocol step count (default: randomized speeds)"),
         Option("convergence_out", help="also emit the quasi-static convergence CSV here"),
     )),
@@ -403,9 +407,10 @@ COMMANDS = {
     )),
     "langevin": Command(cmd_langevin, "double-well erasure simulation", (
         _out("langevin.csv"), TEMPERATURE, SEED,
-        Option("n_traj", int, 10_000, "ensemble size"),
+        Option("n_traj", _integer(1, MAX_TRAJECTORIES), 10_000,
+               f"ensemble size, at most {MAX_TRAJECTORIES}"),
         Option("dt", _finite, 1e-3, "time step"),
-        Option("tau", _finite, 750.0, "protocol duration"),
+        Option("tau", _finite, 750.0, f"protocol duration, at most {MAX_STEPS} steps of dt"),
         Option("ratio", _finite, 1.0,
                "target basin weight ratio Z_left : Z_right (1 = symmetric)"),
         Option("push_tilt", _finite, None, "tilt of the push stage"),

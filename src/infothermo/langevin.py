@@ -22,6 +22,7 @@ from scipy import integrate, optimize
 from .operators import MalformedPayloadError, temperature_value
 
 BARRIER_MIN_FACTOR = 8.0  # minimal barrier in units of T at protocol endpoints
+MAX_STEPS = 10_000_000    # Euler-Maruyama steps per run: tau = 10^4 at dt = 1e-3
 
 
 class SingleWellError(ValueError):
@@ -330,17 +331,6 @@ class TrajectoryEnsemble:
         t = self.params.temperature
         return float(-t * _log_mean_exp(-self.works / t))
 
-    def summary(self) -> dict:
-        return {
-            "n_traj": int(self.params.n_traj),
-            "seed": int(self.params.seed),
-            "dt": self.params.dt,
-            "mean_work": self.mean_work,
-            "stderr": self.stderr,
-            "jarzynski_estimator": self.jarzynski_estimator,
-            "success_fraction": self.success_fraction,
-        }
-
 
 _NOISE_BLOCK = 1024
 _CHUNK = 128  # trajectories per random stream; part of the output's definition
@@ -355,24 +345,46 @@ def _chunk_columns(k: int, n_traj: int) -> slice:
 def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32, pool):
     """Fill noise[:count] with kick-scaled Gaussian increments, chunk by chunk.
 
-    Chunk k draws its (count, width) block from its own stream in one call,
-    in C order, so a trajectory's increments do not depend on the block
-    length or on any other chunk.  An increment is the float32 product of
-    the float32 normal and the float32 kick, one rounding (relative 2^-24)
-    away from the float64 product.  Threads take whole chunks and write
-    disjoint columns, so the result does not depend on the thread count or
-    on scheduling.  float32 noise is statistically indistinguishable here
-    and halves the generation cost.
+    Box-Muller in float32: chunk k of width w, h = ceil(w / 2), draws its
+    (count, 2, h) uniforms from its own stream in one call, in C order, so
+    each step takes h radius uniforms u, then h angle uniforms v.  With
+    r = sqrt(-2 kick^2 log(1 - u)) and theta = 2 pi v, column c < h of the
+    chunk gets r cos(theta) and column c + h gets r sin(theta) of the same
+    pair.  1 - u lies in (0, 1], so r is finite and |r| <= kick sqrt(48 ln 2):
+    float32 uniforms cut the normal off at 5.77 sigma.  A trajectory's
+    increments do not depend on the block length or on any other chunk.
+    Threads take whole chunks and write disjoint columns, so the result does
+    not depend on the thread count or on scheduling.
     """
     n_traj = noise.shape[1]
+    radius_scale = np.float32(-2.0) * kick * kick
+    two_pi = np.float32(2.0 * np.pi)
 
     def fill(chunks):
-        buf = np.empty(count * _CHUNK, dtype=np.float32)
+        uniforms = np.empty(count * _CHUNK, dtype=np.float32)
+        radii = np.empty(count * _CHUNK // 2, dtype=np.float32)
+        angles = np.empty_like(radii)
         for k in chunks:
             cols = _chunk_columns(k, n_traj)
-            draw = buf[:count * (cols.stop - cols.start)].reshape(count, -1)
-            generators[k].standard_normal(dtype=np.float32, out=draw)
-            np.multiply(draw, kick, out=noise[:count, cols])
+            width = cols.stop - cols.start
+            h = -(-width // 2)
+            draw = uniforms[:count * 2 * h].reshape(count, 2, h)
+            generators[k].random(dtype=np.float32, out=draw)
+            # the two halves of each step's row go to contiguous arrays, so
+            # log, sqrt, cos and sin run as one SIMD loop, not one per row
+            r = radii[:count * h].reshape(count, h)
+            theta = angles[:count * h].reshape(count, h)
+            np.subtract(np.float32(1.0), draw[:, 0], out=r)
+            np.multiply(draw[:, 1], two_pi, out=theta)
+            np.log(r, out=r)
+            r *= radius_scale
+            np.sqrt(r, out=r)
+            cos = uniforms[:count * h].reshape(count, h)   # the draw is used up
+            np.cos(theta, out=cos)
+            np.sin(theta, out=theta)
+            out = noise[:count, cols]
+            np.multiply(cos, r, out=out[:, :h])
+            np.multiply(theta[:, :width - h], r[:, :width - h], out=out[:, h:])
 
     chunks = range(len(generators))
     if len(chunks) < 2:
@@ -428,7 +440,13 @@ def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule,
 
 def check_protocol(pot: PotentialSpec, schedule: ProtocolSchedule,
                    params: EnsembleParams):
-    """Reject a protocol that starts or ends without a memory, or whose dt is unstable."""
+    """Reject a protocol that starts or ends without a memory, whose dt is
+    unstable, or that takes more than MAX_STEPS steps."""
+    # compared before rounding: in Python floats a huge quotient is inf
+    steps = float(schedule.duration) / float(params.dt)
+    if steps > MAX_STEPS:
+        raise ValueError(f"duration / dt = {steps:.3g} exceeds the cap of "
+                         f"{MAX_STEPS} steps")
     require_barrier(pot, params.temperature, tuple(schedule.knots[0]))
     require_barrier(pot, params.temperature, tuple(schedule.knots[-1]))
     check_timestep(pot, schedule, params.dt, params.gamma)
@@ -447,19 +465,19 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     SeedSequence(seed, spawn_key=(k,)), the k-th child of
     SeedSequence(seed).spawn.  That stream draws, in order, the chunk's
     initial basins and rejection rounds (`_sample_initial_positions`), then
-    its noise, step by step in C order over (step, trajectory in chunk).
+    its noise as float32 uniforms, step by step: for a chunk of width w and
+    h = ceil(w / 2), h radius uniforms then h angle uniforms, which
+    `_fill_noise` turns by Box-Muller into the kicks of columns c and c + h.
     A full chunk's trajectories thus depend only on (seed, k), not on
     n_traj or the thread count, and a chunk replays on its own; a partial
     last chunk also depends on its width.  `trajectory_seeds[i]` is the
     first 64-bit word of chunk k's seed state, shared by its trajectories.
+    The coefficients are evaluated per noise block, so memory does not grow
+    with the step count (at most MAX_STEPS).
     """
     check_protocol(pot, schedule, params)
     t_bath = params.temperature
-
     n_steps = int(round(schedule.duration / params.dt))
-    grid = np.arange(n_steps + 1) * params.dt
-    lam = schedule.coefficients_at(grid)          # (n_steps + 1, 3)
-    dlam = np.diff(lam, axis=0)
 
     n_chunks = -(-params.n_traj // _CHUNK)
     seqs = np.random.SeedSequence(params.seed).spawn(n_chunks)
@@ -482,11 +500,14 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
         for j in range(n_steps):
             offset = j % _NOISE_BLOCK
             if offset == 0:
-                _fill_noise(noise, generators, min(_NOISE_BLOCK, n_steps - j), kick, pool)
-                # the block's coefficients as Python floats: the same doubles,
-                # cheaper to unpack and to combine than numpy scalars
-                steps = lam[j:j + _NOISE_BLOCK].tolist()
-                increments = dlam[j:j + _NOISE_BLOCK].tolist()
+                count = min(_NOISE_BLOCK, n_steps - j)
+                _fill_noise(noise, generators, count, kick, pool)
+                # the block's coefficients at grid points j .. j + count, as
+                # Python floats: the same doubles, cheaper to unpack and to
+                # combine than numpy scalars
+                lam = schedule.coefficients_at((j + np.arange(count + 1)) * params.dt)
+                steps = lam[:-1].tolist()
+                increments = np.diff(lam, axis=0).tolist()
                 _check_finite(x, traj_seeds)
             a, b, c = steps[offset]
             np.multiply(x2, x, out=tmp)
@@ -513,7 +534,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                     works += tmp
     _check_finite(x, traj_seeds)
 
-    top_final = pot.barrier_top(tuple(lam[-1]))
+    top_final = pot.barrier_top(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
     basins = (x >= top_final).astype(int)
     return TrajectoryEnsemble(
         params=params,

@@ -262,8 +262,9 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-# Each of these once ended in a traceback (the first seventeen) or with the
-# wrong exit code (the last four).  Relative paths resolve in tmp_path.
+# Each of these once ended in a traceback (the first seventeen), with the
+# wrong exit code (the next five), or sized its arrays from the input with no
+# cap (the last two).  Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
 LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
 REJECTED_INPUTS = [
@@ -298,6 +299,10 @@ REJECTED_INPUTS = [
     pytest.param(["verify-bounds", "--seed", "1", "--instances", "-3"], None,
                  id="verify-negative-instances"),
     pytest.param(["sweep", "--grid", "0.1:0.9:5e-324"], None, id="sweep-subnormal-step"),
+    pytest.param([*LANGEVIN, "--tau", "1e300", "--dt", "1e-300"], None,
+                 id="langevin-infinite-step-count"),
+    pytest.param([*LANGEVIN, "--n-traj", "100001"], None, id="langevin-too-many-trajectories"),
+    pytest.param([*LANGEVIN, "--tau", "1e5"], None, id="langevin-too-many-steps"),
 ]
 
 

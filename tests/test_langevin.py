@@ -1,5 +1,6 @@
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from infothermo.langevin import (
     PotentialSpec,
     SingleWellError,
     UnstableTimestepError,
+    _fill_noise,
     _sample_initial_positions,
     basin_free_energies,
     erasure_protocol_schedule,
@@ -48,6 +50,46 @@ def equilibrium_positions(pot: PotentialSpec, temperature: float, n_traj: int,
         initial_weights=(eq.p_eq_left, 1.0 - eq.p_eq_left))
     ensemble = simulate_erasure(pot, frozen_schedule(pot, duration), params)
     return ensemble.final_positions
+
+
+def box_muller_noise(gen, n_steps: int, width: int, kick: np.float32) -> np.ndarray:
+    """A chunk's kicks for all steps from one draw of (n_steps, 2, h) uniforms."""
+    h = -(-width // 2)
+    u = gen.random((n_steps, 2, h), dtype=np.float32)
+    r = np.sqrt(np.float32(-2.0) * kick * kick * np.log(np.float32(1.0) - u[:, 0]))
+    theta = np.float32(2.0 * np.pi) * u[:, 1]
+    return np.hstack([r * np.cos(theta), (r * np.sin(theta))[:, :width - h]])
+
+
+def assert_matches_stepwise_reference(n_traj: int):
+    """The blocked, threaded kernel against a plain Euler-Maruyama loop in
+    the same arithmetic order, with each chunk's noise built by Box-Muller
+    from its documented stream."""
+    pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+    sched = erasure_protocol_schedule(pot, 1.5)
+    params = EnsembleParams(n_traj=n_traj, seed=5, dt=1e-3)
+    ens = simulate_erasure(pot, sched, params)
+
+    n_steps = 1500
+    widths = [128, n_traj - 128]
+    lam = sched.coefficients_at(np.arange(n_steps + 1) * params.dt)
+    seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in (0, 1)]
+    gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
+    x = _sample_initial_positions(pot, 1.0, params.initial_weights, gens, n_traj)
+    kick = np.float32(np.sqrt(2.0 * params.dt))
+    noise = np.hstack([box_muller_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
+    works = np.zeros(n_traj)
+    for j in range(n_steps):
+        a, b, c = lam[j]
+        x = (x * (1.0 + 2.0 * b * params.dt) + x * x * x * (-4.0 * a * params.dt)
+             - c * params.dt + noise[j])
+        x = np.clip(x, pot.x_min, pot.x_max)
+        da, db, dc = lam[j + 1] - lam[j]
+        works = works + (x * x) * (x * x) * da + (x * x) * -db + x * dc
+    assert np.array_equal(ens.final_positions, x)
+    assert np.array_equal(ens.works, works)
+    words = [s.generate_state(1, np.uint64)[0] for s in seqs]
+    assert np.array_equal(ens.trajectory_seeds, np.repeat(words, widths))
 
 
 class TestPotential:
@@ -161,35 +203,13 @@ class TestSimulation:
         assert np.array_equal(a.final_positions, b.final_positions)
 
     def test_matches_stepwise_reference(self):
-        # the blocked, threaded kernel against a plain Euler-Maruyama loop in
-        # the same arithmetic order, each chunk's noise drawn in one call for
-        # all steps from its documented stream; 1500 steps end in a partial
-        # block, 130 trajectories in a partial chunk
-        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
-        sched = erasure_protocol_schedule(pot, 1.5)
-        params = EnsembleParams(n_traj=130, seed=5, dt=1e-3)
-        ens = simulate_erasure(pot, sched, params)
+        # 1500 steps end in a partial block, 130 trajectories in a partial
+        # chunk of even width
+        assert_matches_stepwise_reference(130)
 
-        n_steps = 1500
-        lam = sched.coefficients_at(np.arange(n_steps + 1) * params.dt)
-        seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in (0, 1)]
-        gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
-        x = _sample_initial_positions(pot, 1.0, params.initial_weights, gens, params.n_traj)
-        noise = np.hstack([gens[0].standard_normal((n_steps, 128), dtype=np.float32),
-                           gens[1].standard_normal((n_steps, 2), dtype=np.float32)])
-        noise *= np.float32(np.sqrt(2.0 * params.dt))   # float32 increments
-        works = np.zeros(params.n_traj)
-        for j in range(n_steps):
-            a, b, c = lam[j]
-            x = (x * (1.0 + 2.0 * b * params.dt) + x * x * x * (-4.0 * a * params.dt)
-                 - c * params.dt + noise[j])
-            x = np.clip(x, pot.x_min, pot.x_max)
-            da, db, dc = lam[j + 1] - lam[j]
-            works = works + (x * x) * (x * x) * da + (x * x) * -db + x * dc
-        assert np.array_equal(ens.final_positions, x)
-        assert np.array_equal(ens.works, works)
-        words = [s.generate_state(1, np.uint64)[0] for s in seqs]
-        assert np.array_equal(ens.trajectory_seeds, np.repeat(words, [128, 2]))
+    def test_matches_stepwise_reference_odd_partial_chunk(self):
+        # a partial chunk of width 3: two cosine columns, one sine column
+        assert_matches_stepwise_reference(131)
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk, filled serially; 300 are three
@@ -265,6 +285,44 @@ class TestSimulation:
         assert ens.success_fraction >= 0.99
         bound = LN2 - basin_free_energies(pot, 1.0).delta_f
         assert ens.mean_work >= bound - 3 * ens.stderr
+
+
+class TestNoiseFill:
+    """The Box-Muller fill at kick 1: a standard normal law, pairwise."""
+
+    @staticmethod
+    def fill(generators, n_traj, count=1024):
+        noise = np.full((count, n_traj), np.nan, dtype=np.float32)
+        with ThreadPoolExecutor(2) as pool:
+            _fill_noise(noise, generators, count, np.float32(1.0), pool)
+        return noise
+
+    def test_standard_normal_with_uncorrelated_pairs(self):
+        gens = [np.random.Generator(np.random.SFC64(s))
+                for s in np.random.SeedSequence(91).spawn(2)]
+        noise = self.fill(gens, 256).astype(float)
+        assert np.isfinite(noise).all()
+        assert np.abs(noise).max() <= np.sqrt(48.0 * np.log(2.0))
+        values = noise.ravel()
+        assert stats.kstest(values, "norm").pvalue > 0.01
+        # variance of a sample variance of n unit normals: 2 / n
+        assert abs(values.var() - 1.0) < 4.0 * np.sqrt(2.0 / values.size)
+        # column c carries r cos(theta), column c + 64 r sin(theta) of one pair
+        chunks = noise.reshape(-1, 2, 2, 64)
+        cos_half = chunks[:, :, 0].ravel()
+        sin_half = chunks[:, :, 1].ravel()
+        limit = 4.0 / np.sqrt(cos_half.size)
+        assert abs(np.corrcoef(cos_half, sin_half)[0, 1]) < limit
+        assert abs(np.corrcoef(cos_half ** 2, sin_half ** 2)[0, 1]) < limit
+
+    def test_zero_uniforms_give_finite_noise(self):
+        # u = 0 is a possible float32 uniform; 1 - u keeps the log finite
+        class ZeroUniforms:
+            def random(self, dtype, out):
+                out[...] = 0.0
+
+        noise = self.fill([ZeroUniforms(), ZeroUniforms()], 131, count=3)
+        assert np.isfinite(noise).all()
 
 
 class TestJarzynski:
