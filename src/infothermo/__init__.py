@@ -29,7 +29,6 @@ from .memory import (
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    Temperature,
     canonical_state,
     partial_trace,
     random_instance,
@@ -83,7 +82,6 @@ __all__ = [
     "Quench",
     "Ramp",
     "StageWorkReport",
-    "Temperature",
     "Thermalize",
     "TrajectoryEnsemble",
     "TwoBoxParams",

@@ -116,6 +116,7 @@ class Option:
     default: object = None
     help: str = None
     required: bool = False
+    file: str = None  # "input" or "output": a path the run reads or writes
 
     @property
     def flag(self) -> str:
@@ -124,16 +125,18 @@ class Option:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its handler, its flags and its config-file-only keys."""
+    """A subcommand: its handler, its flags, its config-file-only keys and,
+    by label, the outputs whose paths follow from its config."""
 
     run: Callable[[dict], int]
     help: str
     options: tuple[Option, ...]
     config_only: tuple[Option, ...] = ()
+    derived_outputs: Callable[[dict], dict] = lambda config: {}
 
 
 def _out(default: str) -> Option:
-    return Option("out", str, default, "output file path")
+    return Option("out", str, default, "output file path", file="output")
 
 
 def _format(default: str) -> Option:
@@ -178,6 +181,27 @@ def _resolve(args: argparse.Namespace, command: Command) -> dict:
         except ValueError as exc:
             raise UsageError(f"{opt.name} {json.dumps(value)}: {exc}") from exc
     return config
+
+
+def _refuse_overwrites(command: Command, config: dict, config_file: str = None):
+    """Refuse a run whose output path resolves to one of its inputs or to
+    another of its outputs, before anything is written."""
+    files = [(opt.file, opt.flag, config[opt.name]) for opt in command.options if opt.file]
+    inputs = [("--config", config_file)] + [
+        (flag, path) for kind, flag, path in files if kind == "input"]
+    outputs = [(flag, path) for kind, flag, path in files if kind == "output"]
+    with _input_errors():
+        outputs += command.derived_outputs(config).items()
+        taken = {Path(path).resolve(): (label, path) for label, path in inputs if path}
+        for label, path in outputs:
+            if not path:
+                continue
+            target = Path(path).resolve()
+            if target in taken:
+                other, other_path = taken[target]
+                raise UsageError(f"{label} {path} would overwrite {other} {other_path}; "
+                                 "use another path")
+            taken[target] = (label, path)
 
 
 def _provenance(config: dict) -> dict:
@@ -240,10 +264,6 @@ def cmd_qcmi(config: dict) -> int:
 
 
 def cmd_verify_bounds(config: dict) -> int:
-    if (config["convergence_out"]
-            and Path(config["convergence_out"]).resolve() == Path(config["out"]).resolve()):
-        raise UsageError(f"--convergence-out {config['convergence_out']} would overwrite "
-                         "the --out report; use another path")
     temp, seed, n = config["temperature"], config["seed"], config["instances"]
     n_steps = config["n_steps"]
     meas_rows = measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
@@ -317,12 +337,14 @@ def cmd_sweep(config: dict) -> int:
     return EXIT_OK
 
 
+def _summary_path(config: dict) -> str:
+    """The langevin JSON summary: --out with the suffix .json."""
+    return str(Path(config["out"]).with_suffix(".json"))
+
+
 def cmd_langevin(config: dict) -> int:
     with _input_errors():
-        summary_path = str(Path(config["out"]).with_suffix(".json"))
-        if Path(summary_path) == Path(config["out"]):
-            raise UsageError(f"--out {config['out']} would be overwritten by the JSON "
-                             "summary; use another suffix, e.g. .csv")
+        summary_path = _summary_path(config)
         params = EnsembleParams(n_traj=config["n_traj"], seed=config["seed"],
                                 dt=config["dt"], temperature=config["temperature"])
         temp = params.temperature
@@ -385,15 +407,16 @@ def cmd_langevin(config: dict) -> int:
 COMMANDS = {
     "qcmi": Command(cmd_qcmi, "information measures of a measurement", (
         _out("qcmi.json"),
-        Option("state", help="density-matrix JSON file", required=True),
-        Option("povm", help="measurement-model JSON file", required=True),
+        Option("state", help="density-matrix JSON file", required=True, file="input"),
+        Option("povm", help="measurement-model JSON file", required=True, file="input"),
     )),
     "verify-bounds": Command(cmd_verify_bounds, "randomized bound-verification suites", (
         _out("bounds.json"), TEMPERATURE, SEED,
         Option("instances", _integer(1), 100, "instances per suite"),
         Option("n_steps", _integer(1), None,
                "fixed protocol step count (default: randomized speeds)"),
-        Option("convergence_out", help="also emit the quasi-static convergence CSV here"),
+        Option("convergence_out", help="also emit the quasi-static convergence CSV here",
+               file="output"),
     )),
     "twobox": Command(cmd_twobox, "two-box memory closed forms at one asymmetry", (
         _out("twobox.json"), _format("json"), TEMPERATURE,
@@ -414,11 +437,11 @@ COMMANDS = {
         Option("ratio", _finite, 1.0,
                "target basin weight ratio Z_left : Z_right (1 = symmetric)"),
         Option("push_tilt", _finite, None, "tilt of the push stage"),
-        Option("schedule", help="protocol schedule JSON file"),
+        Option("schedule", help="protocol schedule JSON file", file="input"),
     ), config_only=(
         Option("quartic", _finite, 1.0),
         Option("barrier", _finite, 6.5),
-    )),
+    ), derived_outputs=lambda config: {"the JSON summary": _summary_path(config)}),
 }
 
 
@@ -440,7 +463,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        return command.run(_resolve(args, command))
+        config = _resolve(args, command)
+        _refuse_overwrites(command, config, args.config)
+        return command.run(config)
     except (UsageError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,17 +12,21 @@ reported in units of T.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from numpy.polynomial.legendre import leggauss
 
 from .operators import MalformedPayloadError, temperature_value
 
 BARRIER_MIN_FACTOR = 8.0  # minimal barrier in units of T at protocol endpoints
 MAX_STEPS = 10_000_000    # Euler-Maruyama steps per run: tau = 10^4 at dt = 1e-3
+
+# basin quadrature (`basin_free_energies`): nodes and weights on [-1, 1]
+_GAUSS_LEGENDRE = leggauss(256)
+_PANELS = 8
+_WINDOW = 60.0
 
 
 class SingleWellError(ValueError):
@@ -119,31 +123,70 @@ class BasinFreeEnergies:
     barrier_top: float
 
 
+def _basin_window(pot: PotentialSpec, lo: float, hi: float, points: np.ndarray,
+                  temperature: float) -> tuple[float, float, float]:
+    """The part [l, r] of the basin [lo, hi] where V - V_min <= 60 T, and V_min.
+
+    V has one minimum in a basin, at a critical point or an end, and is
+    monotone on either side of it, so that part is an interval; its ends
+    are roots of the quartic V - V_min - 60 T, or the basin's ends.
+    """
+    a, b, c = pot.coefficients
+    candidates = np.concatenate([[lo, hi], points[(points > lo) & (points < hi)]])
+    values = pot.value(candidates)
+    x0, v_min = candidates[values.argmin()], values.min()
+    roots = np.roots([a, 0.0, -b, c, -(v_min + _WINDOW * temperature)])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    left = real[(real > lo) & (real < x0)]
+    right = real[(real > x0) & (real < hi)]
+    return (left.max() if left.size else lo, right.min() if right.size else hi,
+            float(v_min))
+
+
+def _gauss_legendre(pot: PotentialSpec, lo: float, hi: float, v_min: float,
+                    temperature: float, panels: int) -> float:
+    """Integral of e^{-(V - v_min)/T} over [lo, hi]: the Gauss-Legendre rule
+    on each of `panels` equal panels."""
+    nodes, weights = _GAUSS_LEGENDRE
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    return float(np.sum(half * weights * np.exp(-(pot.value(x) - v_min) / temperature)))
+
+
 def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
                         barrier_factor: float = BARRIER_MIN_FACTOR) -> BasinFreeEnergies:
-    """Z_k = integral of e^{-V/T} over each basin by adaptive quadrature.
+    """F_k = -T ln Z_k, Z_k the integral of e^{-V/T} over each basin.
+
+    Z_k comes from a composite Gauss-Legendre rule on 8 panels over the
+    part of the basin where V - V_min <= 60 T, so the panels shrink with
+    the well and a narrow, deep well is resolved; the cut drops only where
+    the integrand is below e^{-60} of its peak.  The same rule on 4
+    panels is an always-on cross-check: an ArithmeticError is raised when
+    the two differ by more than 1e-8 relative.
 
     delta_f is the outcome-averaged free-energy change for equal outcome
     weights with the left basin as the standard state.
     """
     require_barrier(pot, temperature, factor=barrier_factor)
     top = pot.barrier_top()
-
-    def density(x):
-        return np.exp(-pot.value(x) / temperature)
-
-    z_left, err_l = integrate.quad(density, pot.x_min, top, epsrel=1e-10, limit=200)
-    z_right, err_r = integrate.quad(density, top, pot.x_max, epsrel=1e-10, limit=200)
-    for z, err in ((z_left, err_l), (z_right, err_r)):
-        if err > 1e-8 * z:
-            raise ArithmeticError("basin quadrature did not reach relative error 1e-8")
-    f_left = -temperature * np.log(z_left)
-    f_right = -temperature * np.log(z_right)
+    points = pot.critical_points()
+    free = []
+    for lo, hi in ((pot.x_min, top), (top, pot.x_max)):
+        left, right, v_min = _basin_window(pot, lo, hi, points, temperature)
+        z = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS)
+        coarse = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS // 2)
+        if abs(z - coarse) > 1e-8 * z:
+            raise ArithmeticError("basin quadrature: the 8- and 4-panel rules differ "
+                                  f"by {abs(z - coarse) / z:.1e} relative, beyond 1e-8")
+        free.append(v_min - temperature * np.log(z))
+    f_left, f_right = free
     delta_f = 0.5 * (f_left + f_right) - f_left
     return BasinFreeEnergies(
         f_left=float(f_left),
         f_right=float(f_right),
-        p_eq_left=float(z_left / (z_left + z_right)),
+        # Z_left / (Z_left + Z_right), without forming either Z
+        p_eq_left=float(np.exp(-np.logaddexp(0.0, (f_left - f_right) / temperature))),
         delta_f=float(delta_f),
         barrier_top=top,
     )
@@ -164,17 +207,30 @@ def reset_free_energy(pot: PotentialSpec, temperature: float = 1.0) -> float:
 def tune_tilt_for_ratio(a: float, b: float, ratio: float,
                         temperature: float = 1.0,
                         domain: tuple[float, float] = (-2.85, 2.85)) -> PotentialSpec:
-    """Find the tilt c giving basin weights Z_left : Z_right = ratio : 1."""
+    """Find the tilt c in [-2, 2] giving basin weights Z_left : Z_right = ratio : 1.
+
+    Bisection to 1e-12 on ln(Z_left / Z_right) - ln(ratio); a ValueError
+    when the bracket does not change its sign.
+    """
     if not (np.isfinite(ratio) and ratio > 0):
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
 
-    def log_ratio(c):
-        pot = PotentialSpec((a, b, c), *domain)
-        r = basin_free_energies(pot, temperature, barrier_factor=0.0)
-        return np.log(r.p_eq_left / (1.0 - r.p_eq_left)) - np.log(ratio)
+    def above(c) -> bool:
+        r = basin_free_energies(PotentialSpec((a, b, c), *domain), temperature,
+                                barrier_factor=0.0)
+        return (r.f_right - r.f_left) / temperature > np.log(ratio)
 
-    c_star = optimize.brentq(log_ratio, -2.0, 2.0, xtol=1e-12)
-    return PotentialSpec((a, b, float(c_star)), *domain)
+    lo, hi = -2.0, 2.0
+    lo_above = above(lo)
+    if above(hi) == lo_above:
+        raise ValueError(f"no tilt in [{lo}, {hi}] gives the basin weight ratio {ratio}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if above(mid) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+    return PotentialSpec((a, b, 0.5 * (lo + hi)), *domain)
 
 
 @dataclass(frozen=True)
@@ -225,17 +281,6 @@ def schedule_from_json(payload: dict) -> ProtocolSchedule:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedPayloadError(f"malformed schedule payload: {exc}") from exc
     return ProtocolSchedule(duration=duration, times=times, knots=knots)
-
-
-def load_schedule(path) -> ProtocolSchedule:
-    with open(path) as fh:
-        return schedule_from_json(json.load(fh))
-
-
-def frozen_schedule(pot: PotentialSpec, duration: float) -> ProtocolSchedule:
-    lam = np.array(pot.coefficients)
-    return ProtocolSchedule(duration, np.array([0.0, duration]),
-                            np.vstack([lam, lam]))
 
 
 def erasure_protocol_schedule(pot: PotentialSpec, duration: float,

@@ -132,12 +132,6 @@ def trivial_model(weights, dim: int) -> MeasurementModel:
     return MeasurementModel(tuple((np.sqrt(qk) * eye,) for qk in q))
 
 
-def model_from_effects(effects) -> MeasurementModel:
-    """One-operator-per-outcome model M_k = sqrt(E_k)."""
-    return MeasurementModel(tuple((_hermitian_sqrt(np.asarray(e, dtype=complex)),)
-                                  for e in effects))
-
-
 def random_model(rng: np.random.Generator, dim: int, n_outcomes: int,
                  ops_per_outcome: int = 1) -> MeasurementModel:
     """Random POVM, optionally split into several operators per outcome."""

@@ -23,21 +23,8 @@ class MalformedPayloadError(ValueError):
     """A JSON payload does not have the structure of its wire format."""
 
 
-@dataclass(frozen=True)
-class Temperature:
-    """Bath temperature in energy units (k_B = 1); must be positive."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"temperature must be positive, got {self.value}")
-
-
 def temperature_value(temperature) -> float:
-    """Accept a Temperature or a bare positive float and return the float."""
-    if isinstance(temperature, Temperature):
-        return temperature.value
+    """The bath temperature (k_B = 1) as a float; it must be positive."""
     t = float(temperature)
     if not t > 0:
         raise ValueError(f"temperature must be positive, got {t}")
@@ -223,10 +210,6 @@ def random_instance(seed: int, dim: int, kind: str):
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    return _random_from_rng(rng, dim, kind)
-
-
-def _random_from_rng(rng: np.random.Generator, dim: int, kind: str):
     if kind == "state":
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = g @ g.conj().T

@@ -47,12 +47,13 @@ def write_json(path, obj):
 
 
 def csv_rows(header, rows) -> str:
-    """CSV text with 17-significant-digit float cells."""
+    """CSV text with 17-significant-digit float cells; each row maps the
+    header's names to values."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for name in header:
-            value = row[name] if isinstance(row, dict) else row[header.index(name)]
+            value = row[name]
             if isinstance(value, bool):
                 cells.append("true" if value else "false")
             elif isinstance(value, float):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infothermo
 from infothermo.cli import main
 from infothermo.measurement import model_to_json, projective_model, trivial_model
 from infothermo.operators import matrix_to_json
@@ -249,11 +254,55 @@ class TestLangevin:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_narrow_deep_well_exits_2_without_warnings(self, tmp_path):
+        # the basin free energies stay finite; dt = 1e-3 is far above the
+        # stability budget of a well this stiff
+        config = tmp_path / "narrow.json"
+        config.write_text(json.dumps({"quartic": 1e12, "barrier": 1e7}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
+                         "--config", str(config), "--out", str(tmp_path / "l.csv")]) == 2
+
     def test_negative_ratio_exits_2_without_warnings(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
                          "--ratio", "-1", "--out", str(tmp_path / "l.csv")]) == 2
+
+
+FROZEN_SCHEDULE = {"duration": 1.0, "knots": [
+    {"time": 0.0, "coefficients": [1.0, 6.5, 0.0]},
+    {"time": 1.0, "coefficients": [1.0, 6.5, 0.0]},
+]}
+
+
+@pytest.mark.parametrize("argv, victim, payload", [
+    pytest.param(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", "s.json",
+                  "--out", "s.csv"], "s.json", FROZEN_SCHEDULE, id="langevin-summary-on-schedule"),
+    pytest.param(["qcmi", "--state", "st.json", "--povm", "povm.json", "--out", "st.json"],
+                 "st.json", matrix_to_json(np.diag([0.5, 0.5]).astype(complex)),
+                 id="qcmi-out-on-state"),
+    pytest.param(["verify-bounds", "--config", "cfg.json", "--out", "cfg.json"],
+                 "cfg.json", {"seed": 1, "instances": 1}, id="verify-out-on-config"),
+])
+def test_output_onto_input_exits_2(tmp_path, monkeypatch, capsys, argv, victim, payload):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "povm.json").write_text(json.dumps(model_to_json(projective_model(2))))
+    (tmp_path / victim).write_text(json.dumps(payload))
+    before = (tmp_path / victim).read_bytes()
+    assert main(argv) == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert (tmp_path / victim).read_bytes() == before
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = Path(infothermo.__file__).resolve().parents[1]
+    probe = "import sys, infothermo.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

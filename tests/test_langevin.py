@@ -1,24 +1,25 @@
+import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from numpy.polynomial.legendre import leggauss
+from scipy import integrate, optimize, stats
 
 from infothermo import langevin
 from infothermo.langevin import (
     EnsembleParams,
     PotentialSpec,
+    ProtocolSchedule,
     SingleWellError,
     UnstableTimestepError,
     _fill_noise,
     _sample_initial_positions,
     basin_free_energies,
     erasure_protocol_schedule,
-    frozen_schedule,
     jarzynski_check,
-    load_schedule,
     reset_free_energy,
     schedule_from_json,
     simulate_erasure,
@@ -27,6 +28,24 @@ from infothermo.langevin import (
 )
 
 LN2 = np.log(2.0)
+
+
+def frozen_schedule(pot: PotentialSpec, duration: float) -> ProtocolSchedule:
+    """The potential held fixed for the whole duration."""
+    lam = np.array(pot.coefficients)
+    return ProtocolSchedule(duration, np.array([0.0, duration]), np.vstack([lam, lam]))
+
+
+def quad_basin_weights(pot: PotentialSpec) -> tuple:
+    """Oracle: Z_left, Z_right and their error estimates by adaptive quadrature."""
+    top = pot.barrier_top()
+
+    def density(x):
+        return np.exp(-pot.value(x))
+
+    z_left, err_left = integrate.quad(density, pot.x_min, top, epsrel=1e-10, limit=200)
+    z_right, err_right = integrate.quad(density, top, pot.x_max, epsrel=1e-10, limit=200)
+    return (z_left, err_left), (z_right, err_right)
 
 
 def harmonic_basin_free_energy(pot: PotentialSpec, temperature: float,
@@ -142,6 +161,48 @@ class TestBasinFreeEnergies:
         approx = harmonic_basin_free_energy(pot, 1.0, "left")
         assert abs(r.f_left - approx) / abs(approx) < 0.02
 
+    @pytest.mark.parametrize("a, b", [(1e12, 1e7), (1e14, 2e8)])
+    def test_narrow_deep_well_matches_harmonic(self, a, b):
+        # wells of width ~1e-4 in a domain of width 5.7: adaptive quadrature
+        # over the whole basin misses them and returns Z = 0
+        pot = PotentialSpec((a, b, 0.0))
+        r = basin_free_energies(pot, 1.0)
+        assert np.isfinite([r.f_left, r.f_right, r.p_eq_left]).all()
+        for basin, f in (("left", r.f_left), ("right", r.f_right)):
+            approx = harmonic_basin_free_energy(pot, 1.0, basin)
+            assert abs(f - approx) / abs(approx) < 0.02
+
+    @pytest.mark.parametrize("a, b", [(1.0, 6.5), (1.0, 12.0), (4.0, 40.0),
+                                      (1e4, 1e3), (1e6, 1e4), (1e8, 1e5)])
+    def test_matches_quad_oracle(self, a, b):
+        # Z_k to 1e-12 relative wherever quad reports an error below 1e-10 Z_k
+        compared = 0
+        for c in np.linspace(-1.5, 1.5, 13):
+            pot = PotentialSpec((a, b, c))
+            r = basin_free_energies(pot, 1.0, barrier_factor=0.0)
+            for (z, err), f in zip(quad_basin_weights(pot), (r.f_left, r.f_right)):
+                if err < 1e-10 * z:
+                    assert abs(np.expm1(-f - np.log(z))) <= 1e-12
+                    compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("ratio", [0.25, 2.0, 4.0])
+    def test_tune_matches_brentq_oracle(self, ratio):
+        def log_ratio(c):
+            (z_left, _), (z_right, _) = quad_basin_weights(PotentialSpec((1.0, 6.5, c)))
+            return np.log(z_left / z_right) - np.log(ratio)
+
+        c_star = optimize.brentq(log_ratio, -2.0, 2.0, xtol=1e-12)
+        tuned = tune_tilt_for_ratio(1.0, 6.5, ratio)
+        assert abs(tuned.coefficients[2] - c_star) <= 1e-11
+
+    def test_coarse_rule_fails_cross_check(self, monkeypatch):
+        # a 4-node rule cannot resolve a basin on 4 or 8 panels: the two
+        # panel counts disagree and the cross-check raises
+        monkeypatch.setattr(langevin, "_GAUSS_LEGENDRE", leggauss(4))
+        with pytest.raises(ArithmeticError, match="4-panel"):
+            basin_free_energies(symmetric_double_well(), 1.0)
+
     @pytest.mark.parametrize("ratio", [0.0, -1.0, np.inf, np.nan])
     def test_tune_rejects_ratio_before_search(self, ratio):
         with warnings.catch_warnings():
@@ -154,12 +215,9 @@ class TestBasinFreeEnergies:
 
 
 class TestSchedule:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         sched = erasure_protocol_schedule(symmetric_double_well(), 12.0)
-        path = tmp_path / "sched.json"
-        import json
-        path.write_text(json.dumps(sched.to_json()))
-        back = load_schedule(path)
+        back = schedule_from_json(json.loads(json.dumps(sched.to_json())))
         assert back.duration == sched.duration
         assert np.allclose(back.knots, sched.knots)
         assert np.allclose(back.times, sched.times)

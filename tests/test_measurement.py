@@ -6,7 +6,6 @@ from infothermo.measurement import (
     MeasurementModel,
     classical_decompose,
     classical_mutual_information,
-    model_from_effects,
     model_from_json,
     model_to_json,
     outcome_statistics,
@@ -95,15 +94,6 @@ class TestOutcomeStatistics:
                                       stats.sub_probabilities):
                 assert np.trace(sigma).real == pytest.approx(pk, abs=1e-9)
                 assert sub.sum() == pytest.approx(pk, abs=1e-10)
-
-    def test_effect_root_model_reproduces_probabilities(self):
-        rng = np.random.default_rng(13)
-        rho = random_instance(13, 3, "state")
-        model = random_model(rng, 3, 3, ops_per_outcome=2)
-        rebuilt = model_from_effects(model.effects)
-        s1 = outcome_statistics(rho, model)
-        s2 = outcome_statistics(rho, rebuilt)
-        assert np.allclose(s1.probabilities, s2.probabilities, atol=1e-10)
 
 
 class TestQCMutualInformation:

@@ -5,7 +5,6 @@ from infothermo.operators import (
     DensityOperator,
     HermitianOperator,
     SupportViolationError,
-    Temperature,
     canonical_state,
     diagonal_state,
     matrix_from_json,
@@ -13,6 +12,7 @@ from infothermo.operators import (
     partial_trace,
     random_instance,
     relative_entropy,
+    temperature_value,
     tensor,
     von_neumann_entropy,
 )
@@ -39,8 +39,8 @@ class TestValidation:
 
     def test_temperature_positive(self):
         with pytest.raises(ValueError):
-            Temperature(-1.0)
-        assert Temperature(2.0).value == 2.0
+            temperature_value(-1.0)
+        assert temperature_value(2.0) == 2.0
 
 
 class TestVonNeumannEntropy:
@@ -90,13 +90,6 @@ class TestCanonicalState:
         assert np.isfinite(f)
         assert state.diagonal()[0] == pytest.approx(1.0, abs=1e-12)
         assert f == pytest.approx(-2000.0, abs=1e-9)
-
-    def test_accepts_temperature_object(self):
-        h = HermitianOperator(np.diag([0.0, 1.0]))
-        s1, f1 = canonical_state(h, Temperature(2.0))
-        s2, f2 = canonical_state(h, 2.0)
-        assert np.allclose(s1.entries, s2.entries)
-        assert f1 == f2
 
 
 class TestRelativeEntropy:
