@@ -271,15 +271,15 @@ def cmd_verify_bounds(config: dict) -> int:
     fuzz_rows = erasure_bound_suite(seed + 2, n, fuzz=True, temperature=temp)
     szilard = {f"t={t}": szilard_reconciliation(t, temp).to_json() for t in (0.5, 0.8)}
 
-    margins = (
-        [r["measurement_margin"] for r in meas_rows]
-        + [r["sum_margin"] for r in meas_rows]
-        + [r["erasure_margin"] for r in meas_rows]
-        + [r["margin"] for r in eras_rows]
-        + [r["margin"] for r in fuzz_rows]
-        + [s["margin"] for s in szilard.values()]
-    )
-    min_margin = float(min(margins))
+    # every checked margin with the name that replays it
+    suites = (("measurement", meas_rows, "measurement_margin"),
+              ("sum", meas_rows, "sum_margin"),
+              ("paired erasure", meas_rows, "erasure_margin"),
+              ("erasure", eras_rows, "margin"), ("fuzz", fuzz_rows, "margin"))
+    named = [(f"{label} seed={r['seed']} index={r['index']}", r[key])
+             for label, rows, key in suites for r in rows]
+    named += [(f"szilard {t}", s["margin"]) for t, s in szilard.items()]
+    min_margin = float(min(margin for _, margin in named))
     ok = min_margin >= -POLICY.suite_margin
     report = _provenance(config) | {
         "measurement_suite": meas_rows,
@@ -297,16 +297,12 @@ def cmd_verify_bounds(config: dict) -> int:
         write_csv(config["convergence_out"], ("n_steps", "W", "bound", "margin"), rows)
 
     if not ok:
-        suites = (("measurement", meas_rows, "measurement_margin"),
-                  ("erasure", eras_rows, "margin"), ("fuzz", fuzz_rows, "margin"))
-        offenders = [f"{label} seed={r['seed']} index={r['index']}"
-                     for label, rows, key in suites
-                     for r in rows if r.get(key, 0.0) < -POLICY.suite_margin]
+        offenders = [name for name, margin in named if margin < -POLICY.suite_margin]
         print("verify-bounds: VIOLATION "
               f"min margin {min_margin:.3e}; replay: {'; '.join(offenders)}",
               file=sys.stderr)
         return EXIT_SCIENCE
-    print(f"verify-bounds: {len(margins)} margins >= {-POLICY.suite_margin:.0e}, "
+    print(f"verify-bounds: {len(named)} margins >= {-POLICY.suite_margin:.0e}, "
           f"min margin {min_margin:.3e} -> {config['out']}")
     return EXIT_OK
 
@@ -339,7 +335,10 @@ def cmd_sweep(config: dict) -> int:
 
 def _summary_path(config: dict) -> str:
     """The langevin JSON summary: --out with the suffix .json."""
-    return str(Path(config["out"]).with_suffix(".json"))
+    out = Path(config["out"])
+    if not out.name:
+        raise ValueError(f"--out needs a file name, got {config['out']!r}")
+    return str(out.with_suffix(".json"))
 
 
 def cmd_langevin(config: dict) -> int:
@@ -368,7 +367,7 @@ def cmd_langevin(config: dict) -> int:
     # ensemble recovers the constrained (reset) free energy; otherwise the
     # z-score has no sampleable oracle and is reported without gating
     je_gated = completed and abs(params.initial_weights[0] - eq.p_eq_left) <= 1e-3
-    expected = reset_free_energy(pot, temp) if je_gated else 0.0
+    expected = reset_free_energy(eq, temp) if je_gated else 0.0
     jz = jarzynski_check(ensemble, expected)
 
     columns = zip(ensemble.trajectory_seeds, ensemble.works, ensemble.final_basins)

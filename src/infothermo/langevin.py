@@ -6,14 +6,15 @@ tilt c controlling the basin-weight asymmetry.  Erasure is a time-dependent
 protocol (equalize, drop the barrier, push left, restore) integrated with
 Euler-Maruyama; work is accumulated at parameter updates only.
 
-Units: k_B = 1, friction gamma and temperature default to 1; all works are
-reported in units of T.
+Units: k_B = 1 and the friction coefficient is 1, so the drift is -V'(x);
+the temperature defaults to 1; all works are reported in units of T.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,18 +40,17 @@ class UnstableTimestepError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Quartic double well a x^4 - b x^2 + c x on a clamped domain."""
+    """Quartic double well a x^4 - b x^2 + c x on the clamped domain
+    [x_min, x_max]."""
 
     coefficients: tuple[float, float, float]
-    x_min: float = -2.85
-    x_max: float = 2.85
+    x_min: ClassVar[float] = -2.85
+    x_max: ClassVar[float] = 2.85
 
     def __post_init__(self):
         a, b, c = (float(v) for v in self.coefficients)
         if not a > 0:
             raise ValueError(f"quartic coefficient must be positive, got {a}")
-        if not self.x_min < self.x_max:
-            raise ValueError("empty domain")
         object.__setattr__(self, "coefficients", (a, b, c))
 
     def value(self, x, coefficients=None):
@@ -58,11 +58,6 @@ class PotentialSpec:
         x = np.asarray(x, dtype=float)
         x2 = x * x
         return a * x2 * x2 - b * x2 + c * x
-
-    def gradient(self, x, coefficients=None):
-        a, b, c = self.coefficients if coefficients is None else coefficients
-        x = np.asarray(x, dtype=float)
-        return 4.0 * a * x * x * x - 2.0 * b * x + c
 
     def curvature_bound(self, coefficients=None) -> float:
         """max |V''| over the clamped domain."""
@@ -192,21 +187,20 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
     )
 
 
-def reset_free_energy(pot: PotentialSpec, temperature: float = 1.0) -> float:
-    """Free-energy cost -T ln p_eq_left of confining equilibrium to the left basin.
+def reset_free_energy(eq: BasinFreeEnergies, temperature: float = 1.0) -> float:
+    """Free-energy cost -T ln p_eq_left of confining equilibrium to the left
+    basin, from the basin free energies `eq` computed at `temperature`.
 
     For an equilibrium-weighted ensemble driven through a completed reset
     protocol (success ~ 1), the exponential work average converges to this
     constrained free-energy change; the unconstrained endpoint difference is
     recovered only through exponentially rare trapped trajectories.
     """
-    eq = basin_free_energies(pot, temperature)
     return float(-temperature * np.log(eq.p_eq_left))
 
 
 def tune_tilt_for_ratio(a: float, b: float, ratio: float,
-                        temperature: float = 1.0,
-                        domain: tuple[float, float] = (-2.85, 2.85)) -> PotentialSpec:
+                        temperature: float = 1.0) -> PotentialSpec:
     """Find the tilt c in [-2, 2] giving basin weights Z_left : Z_right = ratio : 1.
 
     Bisection to 1e-12 on ln(Z_left / Z_right) - ln(ratio); a ValueError
@@ -216,7 +210,7 @@ def tune_tilt_for_ratio(a: float, b: float, ratio: float,
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
 
     def above(c) -> bool:
-        r = basin_free_energies(PotentialSpec((a, b, c), *domain), temperature,
+        r = basin_free_energies(PotentialSpec((a, b, c)), temperature,
                                 barrier_factor=0.0)
         return (r.f_right - r.f_left) / temperature > np.log(ratio)
 
@@ -230,7 +224,7 @@ def tune_tilt_for_ratio(a: float, b: float, ratio: float,
             lo = mid
         else:
             hi = mid
-    return PotentialSpec((a, b, 0.5 * (lo + hi)), *domain)
+    return PotentialSpec((a, b, 0.5 * (lo + hi)))
 
 
 @dataclass(frozen=True)
@@ -284,9 +278,7 @@ def schedule_from_json(payload: dict) -> ProtocolSchedule:
 
 
 def erasure_protocol_schedule(pot: PotentialSpec, duration: float,
-                              push_tilt: float = None,
-                              fractions: tuple[float, float, float, float] = (0.04, 0.46, 0.88, 0.95)
-                              ) -> ProtocolSchedule:
+                              push_tilt: float = None) -> ProtocolSchedule:
     """Default reset-to-left protocol.
 
     Equalize the basins (tilt to zero) while the barrier holds, drop the
@@ -301,7 +293,8 @@ def erasure_protocol_schedule(pot: PotentialSpec, duration: float,
     a, b, c0 = pot.coefficients
     if push_tilt is None:
         push_tilt = 4.0 * a * (b / (2.0 * a)) ** 1.5
-    f1, f2, f3, f4 = fractions
+    # stage ends as fractions of the duration: equalize, drop, push, restore
+    f1, f2, f3, f4 = 0.04, 0.46, 0.88, 0.95
     times = [0.0, f1]
     knots = [[a, b, c0], [a, b, 0.0]]
     # barrier drop graded as b ~ (1-u)^2 so the well positions (at +-sqrt(b/2a))
@@ -328,7 +321,6 @@ class EnsembleParams:
     n_traj: int
     seed: int
     dt: float = 1e-3
-    gamma: float = 1.0
     temperature: float = 1.0
     initial_weights: tuple[float, float] = (0.5, 0.5)
 
@@ -337,8 +329,6 @@ class EnsembleParams:
             raise ValueError("n_traj must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
         object.__setattr__(self, "temperature", temperature_value(self.temperature))
         w = self.initial_weights
         if len(w) != 2 or abs(w[0] + w[1] - 1.0) > 1e-12 or min(w) < 0:
@@ -354,7 +344,6 @@ class TrajectoryEnsemble:
     final_positions: np.ndarray
     final_basins: np.ndarray       # 0 = left (standard), 1 = right
     trajectory_seeds: np.ndarray   # seed word of each trajectory's chunk stream
-    barrier_top_final: float
 
     @property
     def mean_work(self) -> float:
@@ -369,12 +358,6 @@ class TrajectoryEnsemble:
     @property
     def success_fraction(self) -> float:
         return float((self.final_basins == 0).mean())
-
-    @property
-    def jarzynski_estimator(self) -> float:
-        """-T ln <e^{-W/T}> over the sampled works."""
-        t = self.params.temperature
-        return float(-t * _log_mean_exp(-self.works / t))
 
 
 _NOISE_BLOCK = 1024
@@ -472,11 +455,11 @@ def _check_finite(x: np.ndarray, traj_seeds: np.ndarray):
             f"stream seed {traj_seeds[bad]}) diverged")
 
 
-def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule,
-                   dt: float, gamma: float):
-    """Reject dt above a tenth of the stiffest relaxation time on the path."""
+def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule, dt: float):
+    """Reject dt above a tenth of the stiffest relaxation time 1 / max |V''|
+    on the path."""
     curv = max(pot.curvature_bound(tuple(row)) for row in schedule.knots)
-    limit = 0.1 * gamma / curv
+    limit = 0.1 / curv
     if dt > limit:
         raise UnstableTimestepError(
             f"dt = {dt:.2e} exceeds the stability budget {limit:.2e} "
@@ -494,14 +477,14 @@ def check_protocol(pot: PotentialSpec, schedule: ProtocolSchedule,
                          f"{MAX_STEPS} steps")
     require_barrier(pot, params.temperature, tuple(schedule.knots[0]))
     require_barrier(pot, params.temperature, tuple(schedule.knots[-1]))
-    check_timestep(pot, schedule, params.dt, params.gamma)
+    check_timestep(pot, schedule, params.dt)
 
 
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
 
-    Euler-Maruyama: x <- x - (1/gamma) V'(x) dt + sqrt(2 T dt / gamma) xi.
+    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi.
     Work is charged at parameter updates only, so a frozen protocol yields
     exactly zero work on every trajectory.
 
@@ -534,8 +517,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     x = _sample_initial_positions(pot, t_bath, params.initial_weights, generators,
                                   params.n_traj)
     works = np.zeros(params.n_traj)
-    drift = params.dt / params.gamma
-    kick = np.float32(np.sqrt(2.0 * t_bath * params.dt / params.gamma))
+    drift = params.dt
+    kick = np.float32(np.sqrt(2.0 * t_bath * params.dt))
     noise = np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32)
     x2 = np.empty_like(x)
     tmp = np.empty_like(x)
@@ -556,8 +539,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 _check_finite(x, traj_seeds)
             a, b, c = steps[offset]
             np.multiply(x2, x, out=tmp)
-            tmp *= -4.0 * a * drift            # -dt/gamma * 4a x^3
-            x *= 1.0 + 2.0 * b * drift         # x + dt/gamma * 2b x
+            tmp *= -4.0 * a * drift            # -dt * 4a x^3
+            x *= 1.0 + 2.0 * b * drift         # x + dt * 2b x
             x += tmp
             if c != 0.0:
                 x -= c * drift
@@ -587,7 +570,6 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
         final_positions=x,
         final_basins=basins,
         trajectory_seeds=traj_seeds,
-        barrier_top_final=top_final,
     )
 
 
@@ -615,31 +597,34 @@ class JarzynskiReport:
         }
 
 
+_BOOTSTRAP = 200
+
+
 def _log_mean_exp(values: np.ndarray) -> float:
     m = values.max()
     return float(m + np.log(np.mean(np.exp(values - m))))
 
 
-def jarzynski_check(ensemble: TrajectoryEnsemble, delta_f: float,
-                    temperature: float = None, n_bootstrap: int = 200
-                    ) -> JarzynskiReport:
-    """Compare -T ln <e^{-W/T}> against an independently computed delta_f.
+def jarzynski_check(ensemble: TrajectoryEnsemble, delta_f: float) -> JarzynskiReport:
+    """Compare -T ln <e^{-W/T}> at the ensemble's temperature against an
+    independently computed delta_f.
 
     The expectation presumes an equilibrium initial ensemble; the z-score is
-    measured against a seeded bootstrap standard error of the estimator.
+    measured against a seeded bootstrap standard error of the estimator,
+    from _BOOTSTRAP resamples.
     """
-    t = ensemble.params.temperature if temperature is None else temperature
+    t = ensemble.params.temperature
     w = ensemble.works
     scaled = -w / t
     estimator = -t * _log_mean_exp(scaled)
 
     rng = np.random.default_rng([ensemble.params.seed, 74])
     n = w.size
-    boots = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
+    boots = np.empty(_BOOTSTRAP)
+    for i in range(_BOOTSTRAP):
         idx = rng.integers(0, n, size=n)
         boots[i] = -t * _log_mean_exp(scaled[idx])
-    stderr = float(boots.std(ddof=1)) if n_bootstrap > 1 else 0.0
+    stderr = float(boots.std(ddof=1))
 
     weights = np.exp(scaled - scaled.max())
     ess = float(weights.sum() ** 2 / np.sum(weights ** 2))

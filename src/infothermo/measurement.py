@@ -110,12 +110,6 @@ class MeasurementModel:
     def outcome_count(self) -> int:
         return len(self.operators)
 
-    def is_diagonal(self, tol: float = None) -> bool:
-        tol = POLICY.validation if tol is None else tol
-        return all(
-            np.max(np.abs(e - np.diag(np.diag(e)))) <= tol for e in self.effects
-        )
-
 
 def projective_model(dim: int) -> MeasurementModel:
     """Rank-1 projective measurement in the computational basis."""

@@ -81,14 +81,14 @@ def twobox_layout(t: float, temperature=1.0) -> MemoryLayout:
     return two_branch_layout(temp * np.log(t / (1.0 - t)))
 
 
-def random_layout(rng: np.random.Generator, max_outcomes: int = 3,
-                  max_levels: int = 3, energy_scale: float = 2.0) -> MemoryLayout:
-    """Seeded random memory layout for bound-verification suites."""
-    n = int(rng.integers(2, max_outcomes + 1))
+def random_layout(rng: np.random.Generator) -> MemoryLayout:
+    """Seeded random memory layout for bound-verification suites: 2 or 3
+    branches of 1 to 3 levels, each energy uniform in [0, 2)."""
+    n = int(rng.integers(2, 4))
     blocks = []
     for _ in range(n):
-        d = int(rng.integers(1, max_levels + 1))
-        blocks.append(rng.uniform(0.0, energy_scale, size=d))
+        d = int(rng.integers(1, 4))
+        blocks.append(rng.uniform(0.0, 2.0, size=d))
     return MemoryLayout(tuple(blocks))
 
 

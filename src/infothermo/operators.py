@@ -95,10 +95,10 @@ class DensityOperator:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).real.copy()
 
-    def is_diagonal(self, tol: float = None) -> bool:
-        tol = POLICY.validation if tol is None else tol
+    def is_diagonal(self) -> bool:
+        """No off-diagonal entry beyond the validation tolerance."""
         off = self.entries - np.diag(np.diag(self.entries))
-        return np.max(np.abs(off)) <= tol
+        return np.max(np.abs(off)) <= POLICY.validation
 
 
 def diagonal_state(populations) -> DensityOperator:

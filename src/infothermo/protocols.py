@@ -14,7 +14,7 @@ discrete sequences of three step kinds:
 
 Level energies are capped at E_CAP_FACTOR * T during raise schedules; the
 population beyond the cap is below e^-50 and is accounted for as the erasure
-residual.
+residual, which may be at most EPS_RESIDUAL.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .numerics import POLICY
 from .operators import DensityOperator, temperature_value
 
 E_CAP_FACTOR = 50.0
+EPS_RESIDUAL = 1e-6  # weight a schedule may leave outside its target branch
 
 WITHIN = "within"
 ACROSS = "across"
@@ -108,7 +109,6 @@ class ProtocolRecord:
 
     layout: MemoryLayout
     temperature: float
-    steps: tuple[Step, ...]
     work: float
     heat: float
     initial_energy: float
@@ -124,19 +124,6 @@ class ProtocolRecord:
     def branch_weights(self, which: str = "final") -> np.ndarray:
         dist = self.final_distribution if which == "final" else self.initial_distribution
         return np.array([dist[s].sum() for s in self.layout.branch_slices()])
-
-    def to_json(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "n_steps": len(self.steps),
-            "work": self.work,
-            "heat": self.heat,
-            "initial_energy": self.initial_energy,
-            "final_energy": self.final_energy,
-            "first_law_residual": self.first_law_residual(),
-            "initial_branch_weights": self.branch_weights("initial").tolist(),
-            "final_branch_weights": self.branch_weights("final").tolist(),
-        }
 
 
 def _gibbs(energies: np.ndarray, t: float) -> np.ndarray:
@@ -171,7 +158,6 @@ def run_schedule(layout: MemoryLayout, temperature, initial_distribution,
     initial_energy = float(dist @ energies)
     work = 0.0
     heat = 0.0
-    executed = []
     for step in steps:
         if isinstance(step, Quench):
             new_e = step.energies
@@ -206,12 +192,10 @@ def run_schedule(layout: MemoryLayout, temperature, initial_distribution,
             energies, dist = path[-1].copy(), probs[-1].copy()
         else:
             raise TypeError(f"unknown step {step!r}")
-        executed.append(step)
     final_energy = float(dist @ energies)
     return ProtocolRecord(
         layout=layout,
         temperature=t,
-        steps=tuple(executed),
         work=work,
         heat=heat,
         initial_energy=initial_energy,
@@ -250,7 +234,7 @@ def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
 
 
 def erasure_schedule(layout: MemoryLayout, temperature, branch_weights,
-                     n_steps: int, e_max: float = None) -> list[Step]:
+                     n_steps: int) -> list[Step]:
     """Standard reset-to-branch-0 schedule saturating the erasure bound as n grows.
 
     Align the non-standard branches so the barrier can come out reversibly,
@@ -259,7 +243,7 @@ def erasure_schedule(layout: MemoryLayout, temperature, branch_weights,
     """
     t = temperature_value(temperature)
     p = np.asarray(branch_weights, dtype=float)
-    e_max = E_CAP_FACTOR * t if e_max is None else e_max
+    e_max = E_CAP_FACTOR * t
     base = layout.level_energies()
     branch = layout.branch_of_level()
     shifts = _alignment_shifts(layout, t, p, e_max)
@@ -277,12 +261,11 @@ def erasure_schedule(layout: MemoryLayout, temperature, branch_weights,
 
 
 def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
-                         schedule, eps_residual: float = 1e-6
-                         ) -> tuple[ProtocolRecord, BoundReport]:
+                         schedule) -> tuple[ProtocolRecord, BoundReport]:
     """Run an erasure schedule and verify the work against T H(p) - dF.
 
     The initial state is canonical within each branch with the supplied
-    branch weights.  A schedule leaving more than eps_residual outside the
+    branch weights.  A schedule leaving more than EPS_RESIDUAL outside the
     standard branch is rejected.
     """
     t = temperature_value(temperature)
@@ -293,17 +276,17 @@ def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
     if np.max(np.abs(record.final_energies - layout.level_energies())) > POLICY.validation:
         raise InvalidScheduleError("schedule must restore the original level energies")
     residual = 1.0 - record.branch_weights("final")[0]
-    if residual > eps_residual:
+    if residual > EPS_RESIDUAL:
         raise NotAnErasureError(
             f"residual probability {residual:.3e} outside the standard branch "
-            f"exceeds {eps_residual:.1e}")
+            f"exceeds {EPS_RESIDUAL:.1e}")
 
     rhs = t * shannon_entropy(p) - free_energies(layout, t, p).delta_f
     return record, bound_report(ERASURE_BOUND, record.work, rhs)
 
 
 def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: int,
-                                   n_steps: int, e_max: float = None) -> list[Step]:
+                                   n_steps: int) -> list[Step]:
     """Conditional schedule moving the memory from branch 0 to ``outcome``.
 
     Two ramps of n_steps each: the target branch descends from the cap to its
@@ -311,8 +294,7 @@ def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: i
     standard branch rises to the cap; both keep the population flow in the
     finely-stepped regime, so the dissipation stays O(1/n).
     """
-    t = temperature_value(temperature)
-    e_max = E_CAP_FACTOR * t if e_max is None else e_max
+    e_max = E_CAP_FACTOR * temperature_value(temperature)
     if outcome == 0:
         return []
     base = layout.level_energies()
@@ -335,24 +317,17 @@ def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: i
 
 def run_measurement_process(layout: MemoryLayout, temperature,
                             model: MeasurementModel, rho_s: DensityOperator,
-                            schedules=None, n_steps: int = 10_000,
-                            eps_residual: float = 1e-6
-                            ) -> tuple[ProtocolRecord, BoundReport]:
+                            n_steps: int = 10_000
+                            ) -> tuple[ProtocolRecord, BoundReport, float]:
     """Outcome-averaged work of storing a measurement result in the memory.
 
-    The memory starts canonical in the standard branch; for each outcome k a
-    conditional schedule transports it to branch k.  System-memory energy
-    flows are charged to work, so the averaged ledger work is compared
-    against -T (H - I) + dF.
+    The memory starts canonical in the standard branch; for outcome k the
+    conditional schedule `measurement_transport_schedule(..., k, n_steps)`
+    transports it to branch k, leaving at most EPS_RESIDUAL outside it.
+    System-memory energy flows are charged to work, so the averaged ledger
+    work is compared against -T (H - I) + dF.  Returns the averaged record,
+    that bound's report, and the QC-mutual information I it used.
     """
-    record, report, _ = _measurement_process(
-        layout, temperature, model, rho_s, schedules, n_steps, eps_residual)
-    return record, report
-
-
-def _measurement_process(layout, temperature, model, rho_s, schedules=None,
-                         n_steps=10_000, eps_residual=1e-6):
-    """run_measurement_process, also returning the QC-mutual information it used."""
     t = temperature_value(temperature)
     if model.outcome_count != layout.outcome_count:
         raise ValueError("measurement outcomes must match the memory branches")
@@ -362,20 +337,15 @@ def _measurement_process(layout, temperature, model, rho_s, schedules=None,
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
 
-    if schedules is None:
-        schedules = [measurement_transport_schedule(layout, t, k, n_steps)
-                     for k in range(layout.outcome_count)]
-    if len(schedules) != layout.outcome_count:
-        raise InvalidScheduleError("one conditional schedule per outcome required")
-
     start = branch_canonical_distribution(
         layout, t, np.eye(layout.outcome_count)[0])
     components = []
-    for k, sched in enumerate(schedules):
-        rec = run_schedule(layout, t, start, sched)
+    for k in range(layout.outcome_count):
+        rec = run_schedule(layout, t, start,
+                           measurement_transport_schedule(layout, t, k, n_steps))
         if probs[k] > 1e-15:
             landed = rec.branch_weights("final")[k]
-            if 1.0 - landed > eps_residual:
+            if 1.0 - landed > EPS_RESIDUAL:
                 raise InvalidScheduleError(
                     f"conditional schedule {k} leaves weight {1.0 - landed:.3e} "
                     f"outside branch {k}")
@@ -386,7 +356,6 @@ def _measurement_process(layout, temperature, model, rho_s, schedules=None,
     record = ProtocolRecord(
         layout=layout,
         temperature=t,
-        steps=(),
         work=work,
         heat=heat,
         initial_energy=float(sum(p * r.initial_energy for p, r in zip(probs, components))),
@@ -508,7 +477,7 @@ def measurement_bound_suite(seed: int, n_instances: int, n_steps: int = None,
         model = random_classical_model(rng, dim_s, layout.outcome_count)
         rho_s = DensityOperator(np.diag(_random_weights(rng, dim_s)).astype(complex))
         n = int(rng.choice([2, 10, 100])) if n_steps is None else n_steps
-        meas_record, meas_report, info = _measurement_process(
+        meas_record, meas_report, info = run_measurement_process(
             layout, temperature, model, rho_s, n_steps=n)
         p = meas_record.branch_weights("final")
         eras_sched = erasure_schedule(layout, temperature, p, n)
@@ -542,7 +511,7 @@ def szilard_reconciliation(t: float, temperature: float = 1.0,
         (np.diag([0.0, 1.0]).astype(complex),),
     ))
     rho_s = DensityOperator(np.diag([0.5, 0.5]).astype(complex))
-    meas_record, _ = run_measurement_process(layout, temp, model, rho_s, n_steps=n_steps)
+    meas_record, _, _ = run_measurement_process(layout, temp, model, rho_s, n_steps=n_steps)
     p = meas_record.branch_weights("final")
     eras_record, _ = run_erasure_protocol(
         layout, temp, p, erasure_schedule(layout, temp, p, n_steps))

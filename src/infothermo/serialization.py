@@ -47,23 +47,12 @@ def write_json(path, obj):
 
 
 def csv_rows(header, rows) -> str:
-    """CSV text with 17-significant-digit float cells; each row maps the
-    header's names to values."""
+    """CSV text with 17-significant-digit float cells and str() of every
+    other cell; each row maps the header's names to values."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for name in header:
-            value = row[name]
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(format_float(value))
-            elif hasattr(value, "item"):
-                cells.append(format_float(value.item())
-                             if isinstance(value.item(), float) else str(value.item()))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+        lines.append(",".join(format_float(row[name]) if isinstance(row[name], float)
+                              else str(row[name]) for name in header))
     return "\n".join(lines) + "\n"
 
 

@@ -213,7 +213,8 @@ def test_criterion_7_langevin_reproduction():
     sym = simulate_erasure(
         pot_sym, erasure_protocol_schedule(pot_sym, 750.0),
         EnsembleParams(n_traj=10_000, seed=20250810, dt=1e-3))
-    jz_sym = jarzynski_check(sym, reset_free_energy(pot_sym))
+    jz_sym = jarzynski_check(
+        sym, reset_free_energy(basin_free_energies(pot_sym, temperature), temperature))
 
     pot_asym = tune_tilt_for_ratio(1.0, 6.5, 4.0, temperature)
     asym = simulate_erasure(
@@ -227,7 +228,7 @@ def test_criterion_7_langevin_reproduction():
         pot_asym, erasure_protocol_schedule(pot_asym, 8.0),
         EnsembleParams(n_traj=10_000, seed=12, dt=1e-3,
                        initial_weights=(eq.p_eq_left, 1.0 - eq.p_eq_left)))
-    jz_audit = jarzynski_check(audit, reset_free_energy(pot_asym))
+    jz_audit = jarzynski_check(audit, reset_free_energy(eq, temperature))
 
     elapsed = time.time() - t0
     ratio = sym.mean_work / LN2

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import infothermo
+from infothermo import cli
 from infothermo.cli import main
 from infothermo.measurement import model_to_json, projective_model, trivial_model
+from infothermo.memory import RECONCILIATION_BOUND, bound_report
 from infothermo.operators import matrix_to_json
 
 LN2 = np.log(2.0)
@@ -132,6 +134,29 @@ class TestVerifyBounds:
                      "--out", str(out), "--convergence-out", str(out)]) == 2
         assert "would overwrite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sum_violation_names_its_row(self, tmp_path, monkeypatch, capsys):
+        suite = cli.measurement_bound_suite
+
+        def violated(*args, **kwargs):
+            rows = suite(*args, **kwargs)
+            rows[1]["sum_margin"] = -1.0
+            return rows
+
+        monkeypatch.setattr(cli, "measurement_bound_suite", violated)
+        assert main(["verify-bounds", "--seed", "5", "--instances", "2",
+                     "--out", str(tmp_path / "b.json")]) == 1
+        err = capsys.readouterr().err
+        assert "VIOLATION min margin -1.000e+00" in err
+        assert "replay: sum seed=5 index=1\n" in err
+
+    def test_szilard_violation_names_its_t(self, tmp_path, monkeypatch, capsys):
+        reconcile = cli.szilard_reconciliation
+        monkeypatch.setattr(cli, "szilard_reconciliation", lambda t, temp: (
+            bound_report(RECONCILIATION_BOUND, 1.0, 0.0) if t == 0.8 else reconcile(t, temp)))
+        assert main(["verify-bounds", "--seed", "5", "--instances", "2",
+                     "--out", str(tmp_path / "b.json")]) == 1
+        assert "replay: szilard t=0.8\n" in capsys.readouterr().err
 
     def test_convergence_csv(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -311,53 +336,61 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def case(argv, config, *, id, message=""):
+    """A rejected input, its config file (or None) and a part of its message."""
+    return pytest.param(argv, config, message, id=id)
+
+
 # Each of these once ended in a traceback (the first seventeen), with the
-# wrong exit code (the next five), or sized its arrays from the input with no
-# cap (the last two).  Relative paths resolve in tmp_path.
+# wrong exit code (the next five), sized its arrays from the input with no
+# cap (the next two), or gave a message that names no option (the last).
+# Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
 LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
 REJECTED_INPUTS = [
-    pytest.param([*VERIFY, "--temperature", "-1"], None, id="verify-negative-temperature"),
-    pytest.param([*VERIFY, "--n-steps", "0"], None, id="verify-zero-steps"),
-    pytest.param(["verify-bounds", "--seed", "-1", "--instances", "1"], None,
-                 id="verify-negative-seed"),
-    pytest.param(["verify-bounds", "--seed", "1"], {"instances": "abc"},
-                 id="verify-config-instances-text"),
-    pytest.param(["verify-bounds", "--instances", "1"], {"seed": "x"},
-                 id="verify-config-seed-text"),
-    pytest.param(["sweep"], {"grid": 5}, id="sweep-config-grid-number"),
-    pytest.param(["sweep", "--grid", "0.1:0.9:nan"], None, id="sweep-nan-step"),
-    pytest.param(["sweep", "--grid", "0.1:inf:0.1"], None, id="sweep-inf-stop"),
-    pytest.param(["sweep", "--grid", "0.1:0.9:1e-12"], None, id="sweep-grid-too-fine"),
-    pytest.param(["sweep", "--temperature", "-2"], None, id="sweep-negative-temperature"),
-    pytest.param(LANGEVIN, {"temperature": "hot"}, id="langevin-config-temperature-text"),
-    pytest.param([*LANGEVIN, "--temperature", "-1"], None,
-                 id="langevin-negative-temperature"),
-    pytest.param(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "-1"], None,
-                 id="langevin-negative-tau"),
-    pytest.param(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "inf"], None,
-                 id="langevin-infinite-tau"),
-    pytest.param([*LANGEVIN, "--push-tilt", "nan"], None, id="langevin-nan-push-tilt"),
-    pytest.param(["qcmi", "--state", "state2.json", "--povm", "povm3.json"], None,
-                 id="qcmi-dimension-mismatch"),
-    pytest.param(["twobox", "--t", "0.5", "--out", "missing/tb.json"], None,
-                 id="out-in-missing-directory"),
-    pytest.param([*VERIFY, "--temperature", "inf"], None, id="verify-infinite-temperature"),
-    pytest.param(["twobox", "--t", "0.5", "--temperature", "inf"], None,
-                 id="twobox-infinite-temperature"),
-    pytest.param(["verify-bounds", "--seed", "1", "--instances", "-3"], None,
-                 id="verify-negative-instances"),
-    pytest.param(["sweep", "--grid", "0.1:0.9:5e-324"], None, id="sweep-subnormal-step"),
-    pytest.param([*LANGEVIN, "--tau", "1e300", "--dt", "1e-300"], None,
-                 id="langevin-infinite-step-count"),
-    pytest.param([*LANGEVIN, "--n-traj", "100001"], None, id="langevin-too-many-trajectories"),
-    pytest.param([*LANGEVIN, "--tau", "1e5"], None, id="langevin-too-many-steps"),
+    case([*VERIFY, "--temperature", "-1"], None, id="verify-negative-temperature"),
+    case([*VERIFY, "--n-steps", "0"], None, id="verify-zero-steps"),
+    case(["verify-bounds", "--seed", "-1", "--instances", "1"], None,
+         id="verify-negative-seed"),
+    case(["verify-bounds", "--seed", "1"], {"instances": "abc"},
+         id="verify-config-instances-text"),
+    case(["verify-bounds", "--instances", "1"], {"seed": "x"},
+         id="verify-config-seed-text"),
+    case(["sweep"], {"grid": 5}, id="sweep-config-grid-number"),
+    case(["sweep", "--grid", "0.1:0.9:nan"], None, id="sweep-nan-step"),
+    case(["sweep", "--grid", "0.1:inf:0.1"], None, id="sweep-inf-stop"),
+    case(["sweep", "--grid", "0.1:0.9:1e-12"], None, id="sweep-grid-too-fine"),
+    case(["sweep", "--temperature", "-2"], None, id="sweep-negative-temperature"),
+    case(LANGEVIN, {"temperature": "hot"}, id="langevin-config-temperature-text"),
+    case([*LANGEVIN, "--temperature", "-1"], None,
+         id="langevin-negative-temperature"),
+    case(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "-1"], None,
+         id="langevin-negative-tau"),
+    case(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "inf"], None,
+         id="langevin-infinite-tau"),
+    case([*LANGEVIN, "--push-tilt", "nan"], None, id="langevin-nan-push-tilt"),
+    case(["qcmi", "--state", "state2.json", "--povm", "povm3.json"], None,
+         id="qcmi-dimension-mismatch"),
+    case(["twobox", "--t", "0.5", "--out", "missing/tb.json"], None,
+         id="out-in-missing-directory"),
+    case([*VERIFY, "--temperature", "inf"], None, id="verify-infinite-temperature"),
+    case(["twobox", "--t", "0.5", "--temperature", "inf"], None,
+         id="twobox-infinite-temperature"),
+    case(["verify-bounds", "--seed", "1", "--instances", "-3"], None,
+         id="verify-negative-instances"),
+    case(["sweep", "--grid", "0.1:0.9:5e-324"], None, id="sweep-subnormal-step"),
+    case([*LANGEVIN, "--tau", "1e300", "--dt", "1e-300"], None,
+         id="langevin-infinite-step-count"),
+    case([*LANGEVIN, "--n-traj", "100001"], None, id="langevin-too-many-trajectories"),
+    case([*LANGEVIN, "--tau", "1e5"], None, id="langevin-too-many-steps"),
+    case([*LANGEVIN, "--out", "/"], None, message="--out needs a file name",
+         id="langevin-out-without-file-name"),
 ]
 
 
-@pytest.mark.parametrize("argv, config", REJECTED_INPUTS)
+@pytest.mark.parametrize("argv, config, message", REJECTED_INPUTS)
 def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys,
-                                                   argv, config):
+                                                   argv, config, message):
     monkeypatch.chdir(tmp_path)
     write_state(tmp_path / "state2.json", [0.5, 0.5])
     (tmp_path / "povm3.json").write_text(json.dumps(model_to_json(projective_model(3))))
@@ -370,4 +403,5 @@ def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{argv[0]}: error:" in err
+    assert message in err
     assert not (tmp_path / "out.csv").exists()

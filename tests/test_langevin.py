@@ -211,7 +211,8 @@ class TestBasinFreeEnergies:
                 tune_tilt_for_ratio(1.0, 6.5, ratio)
 
     def test_reset_free_energy_symmetric(self):
-        assert reset_free_energy(symmetric_double_well()) == pytest.approx(LN2, abs=1e-9)
+        eq = basin_free_energies(symmetric_double_well())
+        assert reset_free_energy(eq) == pytest.approx(LN2, abs=1e-9)
 
 
 class TestSchedule:
@@ -238,11 +239,6 @@ class TestEnsembleParams:
     def test_rejects_nonpositive_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature must be positive"):
             EnsembleParams(n_traj=8, seed=0, temperature=temperature)
-
-    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan])
-    def test_rejects_nonpositive_gamma(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            EnsembleParams(n_traj=8, seed=0, gamma=gamma)
 
 
 class TestSimulation:
@@ -397,7 +393,7 @@ class TestJarzynski:
         pot = symmetric_double_well()
         sched = erasure_protocol_schedule(pot, 8.0)
         ens = simulate_erasure(pot, sched, EnsembleParams(n_traj=3000, seed=51, dt=1e-3))
-        report = jarzynski_check(ens, reset_free_energy(pot))
+        report = jarzynski_check(ens, reset_free_energy(basin_free_energies(pot)))
         assert abs(report.z_score) <= 3.0
 
     def test_second_law_at_ensemble_level(self):
@@ -425,7 +421,6 @@ class TestJarzynski:
             final_positions=np.zeros(100),
             final_basins=np.zeros(100, dtype=int),
             trajectory_seeds=np.zeros(100, dtype=np.uint64),
-            barrier_top_final=0.0,
         )
         report = jarzynski_check(ens, 0.0)
         assert report.low_ess_warning

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from infothermo.measurement import MeasurementModel, qc_mutual_information, random_classical_model
-from infothermo.memory import random_layout, two_branch_layout, twobox_layout
+from infothermo.measurement import (
+    MeasurementModel, outcome_statistics, qc_mutual_information, random_classical_model,
+    shannon_entropy,
+)
+from infothermo.memory import free_energies, random_layout, two_branch_layout, twobox_layout
 from infothermo.operators import diagonal_state
 from infothermo.protocols import (
     ACROSS,
@@ -182,7 +185,7 @@ class TestMeasurement:
     def test_error_free_copy_symmetric_memory_costs_nothing(self):
         layout = two_branch_layout(0.0)
         rho = diagonal_state([0.5, 0.5])
-        record, report = run_measurement_process(
+        record, report, _ = run_measurement_process(
             layout, 1.0, binary_copy_model(), rho, n_steps=10_000)
         assert abs(record.work) < 1e-3
         assert report.rhs == pytest.approx(0.0, abs=1e-12)
@@ -190,7 +193,7 @@ class TestMeasurement:
     def test_twobox_asymmetric_memory(self):
         layout = twobox_layout(0.8, 1.0)
         rho = diagonal_state([0.5, 0.5])
-        record, report = run_measurement_process(
+        record, report, _ = run_measurement_process(
             layout, 1.0, binary_copy_model(), rho, n_steps=10_000)
         assert record.work == pytest.approx(0.5 * np.log(4.0), abs=1e-3)
         assert report.satisfied
@@ -198,10 +201,23 @@ class TestMeasurement:
     def test_outcome_zero_costs_nothing(self):
         layout = two_branch_layout(0.0)
         rho = diagonal_state([1.0, 0.0])
-        record, _ = run_measurement_process(
+        record, _, _ = run_measurement_process(
             layout, 1.0, binary_copy_model(), rho, n_steps=100)
         assert record.components[0].work == 0.0
         assert record.work == pytest.approx(0.0, abs=1e-12)
+
+    def test_returns_the_information_of_its_bound(self):
+        temperature = 2.0
+        layout = twobox_layout(0.7, temperature)
+        model = random_classical_model(np.random.default_rng(4), 3, 2)
+        rho = diagonal_state([0.2, 0.5, 0.3])
+        _, report, info = run_measurement_process(layout, temperature, model, rho,
+                                                  n_steps=50)
+        assert info == qc_mutual_information(rho, model)
+        p = outcome_statistics(rho, model).probabilities
+        expected = (-temperature * (shannon_entropy(p) - info)
+                    + free_energies(layout, temperature, p).delta_f)
+        assert report.rhs == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_quantum_state(self):
         layout = two_branch_layout(0.0)
@@ -220,7 +236,7 @@ class TestMeasurement:
 
     def test_aggregate_first_law(self):
         layout = twobox_layout(0.7, 1.0)
-        record, _ = run_measurement_process(
+        record, _, _ = run_measurement_process(
             layout, 1.0, binary_copy_model(), diagonal_state([0.5, 0.5]), n_steps=200)
         assert abs(record.first_law_residual()) < 1e-9
 
@@ -236,7 +252,7 @@ class TestCompositeBounds:
     def test_sum_bound_two_box_pair(self):
         layout = twobox_layout(0.8, 1.0)
         rho = diagonal_state([0.5, 0.5])
-        meas, _ = run_measurement_process(layout, 1.0, binary_copy_model(), rho,
+        meas, _, _ = run_measurement_process(layout, 1.0, binary_copy_model(), rho,
                                           n_steps=10_000)
         p = meas.branch_weights("final")
         eras, _ = run_erasure_protocol(
@@ -250,7 +266,7 @@ class TestCompositeBounds:
     def test_sum_bound_rejects_mismatched_layouts(self):
         l1, l2 = twobox_layout(0.8), twobox_layout(0.6)
         rho = diagonal_state([0.5, 0.5])
-        meas, _ = run_measurement_process(l1, 1.0, binary_copy_model(), rho, n_steps=50)
+        meas, _, _ = run_measurement_process(l1, 1.0, binary_copy_model(), rho, n_steps=50)
         p = meas.branch_weights("final")
         eras, _ = run_erasure_protocol(l2, 1.0, p, erasure_schedule(l2, 1.0, p, 50))
         with pytest.raises(ValueError, match="layout"):
@@ -266,7 +282,7 @@ class TestCompositeBounds:
         # no information gained, no work extracted: trivially consistent
         layout = two_branch_layout(0.0)
         rho = diagonal_state([1.0, 0.0])
-        meas, _ = run_measurement_process(layout, 1.0, binary_copy_model(), rho,
+        meas, _, _ = run_measurement_process(layout, 1.0, binary_copy_model(), rho,
                                           n_steps=100)
         p = np.clip(meas.branch_weights("final"), 0, None)
         eras, _ = run_erasure_protocol(layout, 1.0, p,
@@ -307,11 +323,7 @@ class TestRandomizedSuites:
 def test_record_and_bound_json_round_trip():
     layout = two_branch_layout(0.0)
     sched = erasure_schedule(layout, 1.0, [0.5, 0.5], 50)
-    record, report = run_erasure_protocol(layout, 1.0, [0.5, 0.5], sched)
-    payload = record.to_json()
-    assert payload["work"] == record.work
-    assert abs(payload["first_law_residual"]) < 1e-9
-    assert payload["final_branch_weights"][0] > 0.999
+    _, report = run_erasure_protocol(layout, 1.0, [0.5, 0.5], sched)
     bound_payload = report.to_json()
     assert bound_payload["tag"] == "erasure"
     assert bound_payload["satisfied"] is True
