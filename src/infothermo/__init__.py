@@ -38,9 +38,7 @@ from .operators import (
 )
 from .protocols import (
     ProtocolRecord,
-    Quench,
-    Ramp,
-    Thermalize,
+    Stage,
     erasure_schedule,
     reconcile_demon,
     run_erasure_protocol,
@@ -79,10 +77,8 @@ __all__ = [
     "PotentialSpec",
     "ProtocolRecord",
     "ProtocolSchedule",
-    "Quench",
-    "Ramp",
+    "Stage",
     "StageWorkReport",
-    "Thermalize",
     "TrajectoryEnsemble",
     "TwoBoxParams",
     "basin_free_energies",

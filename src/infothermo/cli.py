@@ -209,6 +209,8 @@ def _provenance(config: dict) -> dict:
 
 
 MAX_GRID_POINTS = 100_000
+# a ramp holds one row of level energies per step: 5 instances peak near 100 MB here
+MAX_PROTOCOL_STEPS = 100_000
 # the langevin noise block holds 1024 float32 kicks per trajectory: 0.4 GB here
 MAX_TRAJECTORIES = 100_000
 
@@ -412,8 +414,9 @@ COMMANDS = {
     "verify-bounds": Command(cmd_verify_bounds, "randomized bound-verification suites", (
         _out("bounds.json"), TEMPERATURE, SEED,
         Option("instances", _integer(1), 100, "instances per suite"),
-        Option("n_steps", _integer(1), None,
-               "fixed protocol step count (default: randomized speeds)"),
+        Option("n_steps", _integer(1, MAX_PROTOCOL_STEPS), None,
+               f"fixed protocol step count, at most {MAX_PROTOCOL_STEPS} "
+               "(default: randomized speeds)"),
         Option("convergence_out", help="also emit the quasi-static convergence CSV here",
                file="output"),
     )),

@@ -1,16 +1,16 @@
-"""Quench-and-thermalize protocol engine with work/heat accounting.
+"""Quench-and-relax protocol engine with work/heat accounting.
 
 Measurement and erasure processes on a multi-branch memory are realized as
-discrete sequences of three step kinds:
+sequences of stages.  A stage walks a path of level-energy rows; at each row
+the levels are quenched to it and the memory then relaxes:
 
-* Quench: level energies change instantaneously; the work ledger receives
-  sum_s p(s) [E_new(s) - E_old(s)] and the distribution is untouched.
-* Thermalize: the distribution relaxes to the canonical one, either within
+* the quench leaves the distribution untouched; the work ledger receives
+  sum_s p(s) [E_new(s) - E_old(s)];
+* the relaxation moves the distribution to the canonical one, either within
   each branch (barrier in place) or across all branches (barrier removed);
   the heat ledger receives sum_s [p_new(s) - p_old(s)] E(s).
-* Ramp: a linear path of quenches, each followed by an across-branch
-  thermalization, evaluated as array operations over the whole path with
-  ledgers equal to the step-by-step ones.
+
+Every row of every stage goes through the same array evaluation.
 
 Level energies are capped at E_CAP_FACTOR * T during raise schedules; the
 population beyond the cap is below e^-50 and is accounted for as the erasure
@@ -19,7 +19,7 @@ residual, which may be at most EPS_RESIDUAL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .operators import DensityOperator, temperature_value
 
 E_CAP_FACTOR = 50.0
 EPS_RESIDUAL = 1e-6  # weight a schedule may leave outside its target branch
+SZILARD_STEPS = 10_000  # ramp steps of the Szilard engine's memory protocols
 
 WITHIN = "within"
 ACROSS = "across"
@@ -55,47 +56,27 @@ class InvalidScheduleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Quench:
-    """Instantaneous change of all level energies (branch-major vector)."""
+class Stage:
+    """Quench the levels to each row of ``path`` in turn, relaxing after each.
 
-    energies: np.ndarray
+    ``path`` is an (m, n_levels) array of branch-major level energies; a 1-D
+    vector is one row.  After each quench the memory relaxes across all
+    branches (ACROSS) or within each branch (WITHIN).  A WITHIN stage keeps
+    the branch weights it entered with: every row relaxes each branch to the
+    canonical distribution of its levels at that entry weight.
+    """
 
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float).copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-
-
-@dataclass(frozen=True)
-class Thermalize:
-    """Canonical relaxation; scope is "within" (per branch) or "across"."""
-
+    path: np.ndarray
     scope: str = WITHIN
 
     def __post_init__(self):
+        path = np.array(self.path, dtype=float, ndmin=2)
+        if path.ndim != 2 or path.shape[0] == 0:
+            raise ValueError("stage path needs at least one row of level energies")
         if self.scope not in (WITHIN, ACROSS):
-            raise ValueError(f"unknown thermalize scope {self.scope!r}")
-
-
-@dataclass(frozen=True)
-class Ramp:
-    """Quench to (1 - f) start + f end, then Thermalize(ACROSS), for each f."""
-
-    start: np.ndarray
-    end: np.ndarray
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        for name in ("start", "end", "fractions"):
-            v = np.asarray(getattr(self, name), dtype=float).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if (self.start.ndim != 1 or self.start.shape != self.end.shape
-                or self.fractions.ndim != 1 or self.fractions.size == 0):
-            raise ValueError("ramp needs equal-length energy vectors and >= 1 fraction")
-
-
-Step = Quench | Thermalize | Ramp
+            raise ValueError(f"unknown stage scope {self.scope!r}")
+        path.setflags(write=False)
+        object.__setattr__(self, "path", path)
 
 
 @dataclass(frozen=True)
@@ -103,8 +84,8 @@ class ProtocolRecord:
     """Executed protocol with its energy bookkeeping.
 
     The first law holds exactly: final_energy - initial_energy = work + heat
-    up to float accumulation.  Aggregated (outcome-averaged) records keep the
-    per-outcome runs in ``components`` and have no ``final_energies``.
+    up to float accumulation.  Aggregated (outcome-averaged) records have no
+    ``final_energies``.
     """
 
     layout: MemoryLayout
@@ -116,7 +97,6 @@ class ProtocolRecord:
     initial_distribution: np.ndarray
     final_distribution: np.ndarray
     final_energies: np.ndarray | None = None
-    components: tuple["ProtocolRecord", ...] = field(default=())
 
     def first_law_residual(self) -> float:
         return (self.final_energy - self.initial_energy) - (self.work + self.heat)
@@ -132,6 +112,15 @@ def _gibbs(energies: np.ndarray, t: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _gibbs_within(slices: list[slice], energies: np.ndarray, t: float,
+                  weights) -> np.ndarray:
+    """Canonical within each branch slice at the given branch weights (per row)."""
+    dist = np.empty_like(energies)
+    for w, s in zip(weights, slices):
+        dist[..., s] = w * _gibbs(energies[..., s], t)
+    return dist
+
+
 def branch_canonical_distribution(layout: MemoryLayout, temperature,
                                   branch_weights) -> np.ndarray:
     """Level populations: canonical within each branch, given branch weights."""
@@ -139,15 +128,12 @@ def branch_canonical_distribution(layout: MemoryLayout, temperature,
     p = np.asarray(branch_weights, dtype=float)
     if p.size != layout.outcome_count:
         raise ValueError("branch weight vector length must match the outcome count")
-    dist = np.empty(layout.total_dim)
-    for k, s in enumerate(layout.branch_slices()):
-        dist[s] = p[k] * _gibbs(layout.energies[k], t)
-    return dist
+    return _gibbs_within(layout.branch_slices(), layout.level_energies(), t, p)
 
 
 def run_schedule(layout: MemoryLayout, temperature, initial_distribution,
                  steps) -> ProtocolRecord:
-    """Execute a step sequence and return the full work/heat record."""
+    """Execute a sequence of stages and return the full work/heat record."""
     t = temperature_value(temperature)
     dist = np.asarray(initial_distribution, dtype=float).copy()
     if dist.size != layout.total_dim:
@@ -158,40 +144,25 @@ def run_schedule(layout: MemoryLayout, temperature, initial_distribution,
     initial_energy = float(dist @ energies)
     work = 0.0
     heat = 0.0
-    for step in steps:
-        if isinstance(step, Quench):
-            new_e = step.energies
-            if new_e.size != energies.size:
-                raise ValueError("quench energy vector has wrong length")
-            work += float(dist @ (new_e - energies))
-            energies = new_e.copy()
-        elif isinstance(step, Thermalize):
-            if step.scope == ACROSS:
-                new_dist = _gibbs(energies, t)
-            else:
-                new_dist = np.empty_like(dist)
-                for s in slices:
-                    mass = dist[s].sum()
-                    new_dist[s] = mass * _gibbs(energies[s], t)
-            heat += float((new_dist - dist) @ energies)
-            dist = new_dist
-        elif isinstance(step, Ramp):
-            if step.start.size != energies.size:
-                raise ValueError("ramp energy vectors have wrong length")
-            f = step.fractions[:, None]
-            path = step.start * (1.0 - f) + step.end * f
+    for stage in steps:
+        path = stage.path
+        if path.shape[1] != energies.size:
+            raise ValueError("stage path rows have the wrong length")
+        if stage.scope == ACROSS:
             probs = _gibbs(path, t)
-            before_e = np.vstack((energies, path[:-1]))
-            before_p = np.vstack((dist, probs[:-1]))
-            # vecdot rows equal the 1-D dot products of the step-by-step engine
-            # bit for bit, and accumulate adds in the same order as the loop
-            work = float(np.add.accumulate(
-                np.concatenate(([work], np.vecdot(before_p, path - before_e))))[-1])
-            heat = float(np.add.accumulate(
-                np.concatenate(([heat], np.vecdot(probs - before_p, path))))[-1])
-            energies, dist = path[-1].copy(), probs[-1].copy()
         else:
-            raise TypeError(f"unknown step {step!r}")
+            probs = _gibbs_within(slices, path, t, [dist[s].sum() for s in slices])
+        before_e = np.concatenate((energies[None], path[:-1]))
+        before_p = np.concatenate((dist[None], probs[:-1]))
+        # one term per row; with the running ledger folded into the first,
+        # accumulate adds them in path order, as a loop would
+        dw = np.vecdot(before_p, path - before_e)
+        dq = np.vecdot(probs - before_p, path)
+        dw[0] += work
+        dq[0] += heat
+        work = float(np.add.accumulate(dw)[-1])
+        heat = float(np.add.accumulate(dq)[-1])
+        energies, dist = path[-1].copy(), probs[-1].copy()
     final_energy = float(dist @ energies)
     return ProtocolRecord(
         layout=layout,
@@ -215,6 +186,12 @@ def _ramp_fractions(n_steps: int) -> np.ndarray:
     return (np.power(1.0 + ratio, j) - 1.0) / ratio
 
 
+def _ramp(start: np.ndarray, end: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Rows (1 - f) start + f end of a linear energy path, one per fraction."""
+    f = fractions[:, None]
+    return start * (1.0 - f) + end * f
+
+
 def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
                       e_max: float) -> np.ndarray:
     """Per-branch uniform shifts making the global Gibbs weights equal p.
@@ -222,8 +199,7 @@ def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
     Branch 0 is the reference (shift 0).  Empty branches are parked at the
     cap directly.
     """
-    z = np.array([np.sum(np.exp(-e / t)) for e in layout.energies])
-    f = -t * np.log(z)
+    f = free_energies(layout, t, p).free_energies
     shifts = np.zeros(layout.outcome_count)
     for k in range(1, layout.outcome_count):
         if p[k] <= 1e-15:
@@ -234,7 +210,7 @@ def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
 
 
 def erasure_schedule(layout: MemoryLayout, temperature, branch_weights,
-                     n_steps: int) -> list[Step]:
+                     n_steps: int) -> list[Stage]:
     """Standard reset-to-branch-0 schedule saturating the erasure bound as n grows.
 
     Align the non-standard branches so the barrier can come out reversibly,
@@ -248,16 +224,12 @@ def erasure_schedule(layout: MemoryLayout, temperature, branch_weights,
     branch = layout.branch_of_level()
     shifts = _alignment_shifts(layout, t, p, e_max)
 
-    steps: list[Step] = []
     aligned = base + shifts[branch]
-    steps.append(Quench(aligned))
-    steps.append(Thermalize(ACROSS))
     target = np.where(branch != 0, e_max, aligned)
-    steps.append(Ramp(aligned, target, _ramp_fractions(n_steps)))
-    steps.append(Thermalize(WITHIN))  # barrier back in
-    steps.append(Quench(base))        # restore the memory Hamiltonian
-    steps.append(Thermalize(WITHIN))
-    return steps
+    path = np.vstack((aligned, _ramp(aligned, target, _ramp_fractions(n_steps))))
+    return [Stage(path, ACROSS),
+            Stage(path[-1]),  # barrier back in
+            Stage(base)]      # restore the memory Hamiltonian
 
 
 def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
@@ -286,7 +258,7 @@ def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
 
 
 def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: int,
-                                   n_steps: int) -> list[Step]:
+                                   n_steps: int) -> list[Stage]:
     """Conditional schedule moving the memory from branch 0 to ``outcome``.
 
     Two ramps of n_steps each: the target branch descends from the cap to its
@@ -302,17 +274,11 @@ def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: i
     up = _ramp_fractions(n_steps)
     down = 1.0 - np.concatenate(([0.0], up))[-2::-1]  # fine increments at the end
 
-    steps: list[Step] = []
-    parked = np.where(branch == 0, base, e_max)
-    steps.append(Quench(parked))       # empty branches parked at the cap
-    steps.append(Thermalize(ACROSS))
+    parked = np.where(branch == 0, base, e_max)  # empty branches parked at the cap
     descended = np.where(branch == outcome, base, parked)
-    steps.append(Ramp(parked, descended, down))
-    steps.append(Ramp(descended, np.where(branch == 0, e_max, descended), up))
-    steps.append(Thermalize(WITHIN))
-    steps.append(Quench(base))
-    steps.append(Thermalize(WITHIN))
-    return steps
+    path = np.vstack((parked, _ramp(parked, descended, down),
+                      _ramp(descended, np.where(branch == 0, e_max, descended), up)))
+    return [Stage(path, ACROSS), Stage(path[-1]), Stage(base)]
 
 
 def run_measurement_process(layout: MemoryLayout, temperature,
@@ -362,7 +328,6 @@ def run_measurement_process(layout: MemoryLayout, temperature,
         final_energy=float(sum(p * r.final_energy for p, r in zip(probs, components))),
         initial_distribution=start,
         final_distribution=sum(p * r.final_distribution for p, r in zip(probs, components)),
-        components=tuple(components),
     )
 
     h = shannon_entropy(probs)
@@ -423,17 +388,15 @@ def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def fuzzed_erasure_schedule(rng: np.random.Generator, layout: MemoryLayout,
-                            temperature, branch_weights) -> list[Step]:
+                            temperature, branch_weights) -> list[Stage]:
     """Random but valid erasure: arbitrary detours, then a terminal reset push."""
     t = temperature_value(temperature)
     base = layout.level_energies()
-    steps: list[Step] = []
+    steps: list[Stage] = []
     for _ in range(int(rng.integers(0, 6))):
         detour = base + rng.uniform(-1.0, 3.0, size=base.size) * t
-        steps.append(Quench(detour))
-        steps.append(Thermalize(ACROSS if rng.random() < 0.5 else WITHIN))
-    steps.append(Quench(base))  # rejoin the nominal path before the reset tail
-    steps.append(Thermalize(WITHIN))
+        steps.append(Stage(detour, ACROSS if rng.random() < 0.5 else WITHIN))
+    steps.append(Stage(base))  # rejoin the nominal path before the reset tail
     steps.extend(erasure_schedule(layout, t, branch_weights,
                                   n_steps=int(rng.integers(2, 60))))
     return steps
@@ -496,13 +459,12 @@ def measurement_bound_suite(seed: int, n_instances: int, n_steps: int = None,
     return results
 
 
-def szilard_reconciliation(t: float, temperature: float = 1.0,
-                           n_steps: int = 10_000) -> BoundReport:
+def szilard_reconciliation(t: float, temperature: float = 1.0) -> BoundReport:
     """Second-law check for a one-bit feedback engine backed by a two-box memory.
 
     The engine extracts T ln 2 per cycle at zero system free-energy change;
     the memory runs its error-free measurement and erasure protocols at
-    asymmetry t.
+    asymmetry t, each with SZILARD_STEPS steps per ramp.
     """
     temp = temperature_value(temperature)
     layout = twobox_layout(t, temp)
@@ -511,9 +473,10 @@ def szilard_reconciliation(t: float, temperature: float = 1.0,
         (np.diag([0.0, 1.0]).astype(complex),),
     ))
     rho_s = DensityOperator(np.diag([0.5, 0.5]).astype(complex))
-    meas_record, _, _ = run_measurement_process(layout, temp, model, rho_s, n_steps=n_steps)
+    meas_record, _, _ = run_measurement_process(layout, temp, model, rho_s,
+                                                n_steps=SZILARD_STEPS)
     p = meas_record.branch_weights("final")
     eras_record, _ = run_erasure_protocol(
-        layout, temp, p, erasure_schedule(layout, temp, p, n_steps))
+        layout, temp, p, erasure_schedule(layout, temp, p, SZILARD_STEPS))
     w_extracted = temp * np.log(2.0)
     return reconcile_demon(w_extracted, 0.0, meas_record, eras_record)

@@ -343,7 +343,7 @@ def case(argv, config, *, id, message=""):
 
 # Each of these once ended in a traceback (the first seventeen), with the
 # wrong exit code (the next five), sized its arrays from the input with no
-# cap (the next two), or gave a message that names no option (the last).
+# cap (the next three), or gave a message that names no option (the last).
 # Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
 LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
@@ -383,6 +383,7 @@ REJECTED_INPUTS = [
          id="langevin-infinite-step-count"),
     case([*LANGEVIN, "--n-traj", "100001"], None, id="langevin-too-many-trajectories"),
     case([*LANGEVIN, "--tau", "1e5"], None, id="langevin-too-many-steps"),
+    case([*VERIFY, "--n-steps", "100001"], None, id="verify-too-many-steps"),
     case([*LANGEVIN, "--out", "/"], None, message="--out needs a file name",
          id="langevin-out-without-file-name"),
 ]
