@@ -360,9 +360,8 @@ class TrajectoryEnsemble:
         return float((self.final_basins == 0).mean())
 
 
-_NOISE_BLOCK = 1024
+_NOISE_BLOCK = 512  # rows of each of the two noise buffers
 _CHUNK = 128  # trajectories per random stream; part of the output's definition
-_FILL_THREADS = 2
 
 
 def _chunk_columns(k: int, n_traj: int) -> slice:
@@ -370,8 +369,9 @@ def _chunk_columns(k: int, n_traj: int) -> slice:
     return slice(k * _CHUNK, min((k + 1) * _CHUNK, n_traj))
 
 
-def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32, pool):
-    """Fill noise[:count] with kick-scaled Gaussian increments, chunk by chunk.
+def _fill_noise(noise: np.ndarray, generators, chunks, count: int, kick: np.float32):
+    """Fill noise[:count] with kick-scaled Gaussian increments for the chunks
+    that the iterator ``chunks`` yields.
 
     Box-Muller in float32: chunk k of width w, h = ceil(w / 2), draws its
     (count, 2, h) uniforms from its own stream in one call, in C order, so
@@ -381,44 +381,37 @@ def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32, poo
     pair.  1 - u lies in (0, 1], so r is finite and |r| <= kick sqrt(48 ln 2):
     float32 uniforms cut the normal off at 5.77 sigma.  A trajectory's
     increments do not depend on the block length or on any other chunk.
-    Threads take whole chunks and write disjoint columns, so the result does
-    not depend on the thread count or on scheduling.
+    Two threads may share one iterator: each takes whole chunks, writes
+    only those chunks' columns and uses its own scratch buffers, so the
+    result does not depend on which thread fills which chunk.
     """
     n_traj = noise.shape[1]
     radius_scale = np.float32(-2.0) * kick * kick
     two_pi = np.float32(2.0 * np.pi)
-
-    def fill(chunks):
-        uniforms = np.empty(count * _CHUNK, dtype=np.float32)
-        radii = np.empty(count * _CHUNK // 2, dtype=np.float32)
-        angles = np.empty_like(radii)
-        for k in chunks:
-            cols = _chunk_columns(k, n_traj)
-            width = cols.stop - cols.start
-            h = -(-width // 2)
-            draw = uniforms[:count * 2 * h].reshape(count, 2, h)
-            generators[k].random(dtype=np.float32, out=draw)
-            # the two halves of each step's row go to contiguous arrays, so
-            # log, sqrt, cos and sin run as one SIMD loop, not one per row
-            r = radii[:count * h].reshape(count, h)
-            theta = angles[:count * h].reshape(count, h)
-            np.subtract(np.float32(1.0), draw[:, 0], out=r)
-            np.multiply(draw[:, 1], two_pi, out=theta)
-            np.log(r, out=r)
-            r *= radius_scale
-            np.sqrt(r, out=r)
-            cos = uniforms[:count * h].reshape(count, h)   # the draw is used up
-            np.cos(theta, out=cos)
-            np.sin(theta, out=theta)
-            out = noise[:count, cols]
-            np.multiply(cos, r, out=out[:, :h])
-            np.multiply(theta[:, :width - h], r[:, :width - h], out=out[:, h:])
-
-    chunks = range(len(generators))
-    if len(chunks) < 2:
-        fill(chunks)
-        return
-    list(pool.map(fill, [chunks[t::_FILL_THREADS] for t in range(_FILL_THREADS)]))
+    uniforms = np.empty(count * _CHUNK, dtype=np.float32)
+    radii = np.empty(count * _CHUNK // 2, dtype=np.float32)
+    angles = np.empty_like(radii)
+    for k in chunks:
+        cols = _chunk_columns(k, n_traj)
+        width = cols.stop - cols.start
+        h = -(-width // 2)
+        draw = uniforms[:count * 2 * h].reshape(count, 2, h)
+        generators[k].random(dtype=np.float32, out=draw)
+        # the two halves of each step's row go to contiguous arrays, so
+        # log, sqrt, cos and sin run as one SIMD loop, not one per row
+        r = radii[:count * h].reshape(count, h)
+        theta = angles[:count * h].reshape(count, h)
+        np.subtract(np.float32(1.0), draw[:, 0], out=r)
+        np.multiply(draw[:, 1], two_pi, out=theta)
+        np.log(r, out=r)
+        r *= radius_scale
+        np.sqrt(r, out=r)
+        cos = uniforms[:count * h].reshape(count, h)   # the draw is used up
+        np.cos(theta, out=cos)
+        np.sin(theta, out=theta)
+        out = noise[:count, cols]
+        np.multiply(cos, r, out=out[:, :h])
+        np.multiply(theta[:, :width - h], r[:, :width - h], out=out[:, h:])
 
 
 def _sample_initial_positions(pot: PotentialSpec, temperature: float,
@@ -497,11 +490,19 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     h = ceil(w / 2), h radius uniforms then h angle uniforms, which
     `_fill_noise` turns by Box-Muller into the kicks of columns c and c + h.
     A full chunk's trajectories thus depend only on (seed, k), not on
-    n_traj or the thread count, and a chunk replays on its own; a partial
-    last chunk also depends on its width.  `trajectory_seeds[i]` is the
-    first 64-bit word of chunk k's seed state, shared by its trajectories.
-    The coefficients are evaluated per noise block, so memory does not grow
-    with the step count (at most MAX_STEPS).
+    n_traj or on which thread fills the chunk, and a chunk replays on its
+    own; a partial last chunk also depends on its width.
+    `trajectory_seeds[i]` is the first 64-bit word of chunk k's seed state,
+    shared by its trajectories.
+
+    The noise comes in blocks of 512 steps held in two alternating buffers:
+    one fill thread draws block i + 1 while the main thread steps block i,
+    and the main thread takes the chunks of block i + 1 the fill thread has
+    not reached before it joins the fill.  The fill of block i + 2 starts
+    only after that join, into block i's buffer.  The coefficients are
+    evaluated per block, so memory does not grow with the step count (at
+    most MAX_STEPS).  The fill thread ends before this function returns or
+    raises.
     """
     check_protocol(pot, schedule, params)
     t_bath = params.temperature
@@ -519,17 +520,35 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     works = np.zeros(params.n_traj)
     drift = params.dt
     kick = np.float32(np.sqrt(2.0 * t_bath * params.dt))
-    noise = np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32)
+    buffers = [np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32) for _ in range(2)]
     x2 = np.empty_like(x)
     tmp = np.empty_like(x)
 
+    def start_fill(pool, j):
+        """Hand the block that starts at step j to the fill thread."""
+        count = min(_NOISE_BLOCK, n_steps - j)
+        noise = buffers[j // _NOISE_BLOCK % 2]
+        # next() on a range iterator is atomic under the GIL, so the fill
+        # thread and the main thread never take the same chunk
+        chunks = iter(range(n_chunks))
+        return noise, chunks, count, pool.submit(
+            _fill_noise, noise, generators, chunks, count, kick)
+
     np.multiply(x, x, out=x2)              # x2 holds x * x at the top of every step
-    with ThreadPoolExecutor(_FILL_THREADS) as pool:
+    with ThreadPoolExecutor(1) as pool:
+        pending = start_fill(pool, 0) if n_steps else None
         for j in range(n_steps):
             offset = j % _NOISE_BLOCK
             if offset == 0:
-                count = min(_NOISE_BLOCK, n_steps - j)
-                _fill_noise(noise, generators, count, kick, pool)
+                noise, chunks, count, fill = pending
+                # take the chunks the fill thread has not reached, then join it
+                _fill_noise(noise, generators, chunks, count, kick)
+                fill.result()
+                # the next block goes to the other buffer, whose block was
+                # stepped in the last round, and draws each chunk's stream
+                # after this block has drawn it
+                if j + count < n_steps:
+                    pending = start_fill(pool, j + count)
                 # the block's coefficients at grid points j .. j + count, as
                 # Python floats: the same doubles, cheaper to unpack and to
                 # combine than numpy scalars

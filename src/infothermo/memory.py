@@ -63,6 +63,12 @@ class MemoryLayout:
         offsets = np.cumsum((0,) + self.branch_dims)
         return [slice(offsets[k], offsets[k + 1]) for k in range(self.outcome_count)]
 
+    def branch_free_energies(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Branch partition functions Z_k and free energies F_k = -t ln Z_k
+        at a validated temperature t."""
+        z = np.array([np.sum(np.exp(-e / t)) for e in self.energies])
+        return z, -t * np.log(z)
+
 
 def two_branch_layout(energy_gap: float, d0: int = 1, d1: int = 1) -> MemoryLayout:
     """Two-outcome memory: branch 0 at zero energy, branch 1 shifted by energy_gap."""
@@ -119,8 +125,7 @@ def free_energies(layout: MemoryLayout, temperature, probabilities) -> FreeEnerg
     if p.size != layout.outcome_count:
         raise ValueError("probability vector length must match the outcome count")
     shannon_entropy(p)  # validates the distribution
-    z = np.array([np.sum(np.exp(-e / t)) for e in layout.energies])
-    f = -t * np.log(z)
+    z, f = layout.branch_free_energies(t)
     delta = float(p @ f - f[0])
     return FreeEnergyReport(t, z, f, p.copy(), delta)
 

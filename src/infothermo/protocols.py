@@ -199,7 +199,7 @@ def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
     Branch 0 is the reference (shift 0).  Empty branches are parked at the
     cap directly.
     """
-    f = free_energies(layout, t, p).free_energies
+    _, f = layout.branch_free_energies(t)
     shifts = np.zeros(layout.outcome_count)
     for k in range(1, layout.outcome_count):
         if p[k] <= 1e-15:

@@ -1,7 +1,7 @@
 import json
 import sys
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -80,16 +80,69 @@ def box_muller_noise(gen, n_steps: int, width: int, kick: np.float32) -> np.ndar
     return np.hstack([r * np.cos(theta), (r * np.sin(theta))[:, :width - h]])
 
 
-def assert_matches_stepwise_reference(n_traj: int):
+class EagerPool:
+    """Stand-in for the kernel's one-thread pool, run on the calling thread.
+
+    The eager pool runs each fill inside `submit`, so the fill thread takes
+    every chunk; the lazy one runs it only when its result is read, after
+    the main thread has taken every chunk.  A fill submitted while an
+    earlier one is not yet joined fails the run.
+    """
+
+    eager = True
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+        self.unjoined = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        assert self.unjoined == 0, "a fill started before the last one was joined"
+        self.unjoined += 1
+        if self.eager:
+            fn(*args)
+        return SerialFuture(self, None if self.eager else lambda: fn(*args))
+
+
+class LazyPool(EagerPool):
+    eager = False
+
+
+class SerialFuture:
+    def __init__(self, pool, deferred):
+        self.pool = pool
+        self.deferred = deferred
+
+    def result(self):
+        self.pool.unjoined -= 1
+        if self.deferred is not None:
+            self.deferred()
+
+
+def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500):
     """The blocked, threaded kernel against a plain Euler-Maruyama loop in
     the same arithmetic order, with each chunk's noise built by Box-Muller
-    from its documented stream."""
-    pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
-    sched = erasure_protocol_schedule(pot, 1.5)
-    params = EnsembleParams(n_traj=n_traj, seed=5, dt=1e-3)
-    ens = simulate_erasure(pot, sched, params)
+    from its documented stream.
 
-    n_steps = 1500
+    The kernel runs on its own pool and on the eager pool, which
+    fills block i + 1 before block i is stepped: a fill into the buffer
+    being stepped, or one started before the last join, then fails for
+    certain rather than by the luck of a race.
+    """
+    pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+    params = EnsembleParams(n_traj=n_traj, seed=5, dt=1e-3)
+    sched = erasure_protocol_schedule(pot, n_steps * params.dt)
+    assert round(sched.duration / params.dt) == n_steps
+    runs = [simulate_erasure(pot, sched, params)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
+        runs.append(simulate_erasure(pot, sched, params))
+
     widths = [128, n_traj - 128]
     lam = sched.coefficients_at(np.arange(n_steps + 1) * params.dt)
     seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in (0, 1)]
@@ -105,10 +158,11 @@ def assert_matches_stepwise_reference(n_traj: int):
         x = np.clip(x, pot.x_min, pot.x_max)
         da, db, dc = lam[j + 1] - lam[j]
         works = works + (x * x) * (x * x) * da + (x * x) * -db + x * dc
-    assert np.array_equal(ens.final_positions, x)
-    assert np.array_equal(ens.works, works)
     words = [s.generate_state(1, np.uint64)[0] for s in seqs]
-    assert np.array_equal(ens.trajectory_seeds, np.repeat(words, widths))
+    for ens in runs:
+        assert np.array_equal(ens.final_positions, x)
+        assert np.array_equal(ens.works, works)
+        assert np.array_equal(ens.trajectory_seeds, np.repeat(words, widths))
 
 
 class TestPotential:
@@ -265,9 +319,15 @@ class TestSimulation:
         # a partial chunk of width 3: two cosine columns, one sine column
         assert_matches_stepwise_reference(131)
 
+    @pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1024])
+    def test_matches_stepwise_reference_at_block_edges(self, n_steps):
+        # one step, one short of a 512-step noise block, one block, one
+        # past it, and two blocks that reuse the first block's buffer
+        assert_matches_stepwise_reference(130, n_steps)
+
     def test_chunk_independent_of_ensemble_size_and_threads(self):
-        # 128 trajectories are one chunk, filled serially; 300 are three
-        # chunks split across the fill threads; chunk 0 must come out the same
+        # 128 trajectories are one chunk; 300 are three, shared between the
+        # fill thread and the main thread; chunk 0 must come out the same
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
         one = simulate_erasure(pot, sched, EnsembleParams(n_traj=128, seed=13))
@@ -277,21 +337,50 @@ class TestSimulation:
         assert np.array_equal(one.trajectory_seeds, three.trajectory_seeds[:128])
 
     def test_fill_independent_of_thread_count_and_switching(self, monkeypatch):
-        # more fill threads than cores and a very short switch interval must
+        # the fill thread taking every chunk, the main thread taking every
+        # chunk, and the two racing under a very short switch interval must
         # not change a bit: each chunk's stream writes only its own columns
         pot = symmetric_double_well()
-        sched = erasure_protocol_schedule(pot, 1.1)
-        params = EnsembleParams(n_traj=700, seed=17)
+        sched = erasure_protocol_schedule(pot, 1.1)    # blocks of 512, 512, 76
+        params = EnsembleParams(n_traj=700, seed=17)   # six chunks
         base = simulate_erasure(pot, sched, params)
-        monkeypatch.setattr(langevin, "_FILL_THREADS", 5)
+        runs = []
+        for pool in (EagerPool, LazyPool):
+            monkeypatch.setattr(langevin, "ThreadPoolExecutor", pool)
+            runs.append(simulate_erasure(pot, sched, params))
+        monkeypatch.undo()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            stressed = simulate_erasure(pot, sched, params)
+            runs.append(simulate_erasure(pot, sched, params))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(base.works, stressed.works)
-        assert np.array_equal(base.final_positions, stressed.final_positions)
+        for run in runs:
+            assert np.array_equal(base.works, run.works)
+            assert np.array_equal(base.final_positions, run.final_positions)
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        pot = symmetric_double_well()
+        sched = erasure_protocol_schedule(pot, 1.6)    # four noise blocks
+        params = EnsembleParams(n_traj=300, seed=19)
+        before = threading.active_count()
+        simulate_erasure(pot, sched, params)
+        assert threading.active_count() == before
+
+        # the second check runs after block 1 is joined and block 2's fill
+        # has started, so the error leaves a fill in flight
+        calls = []
+
+        def fail_on_second_call(x, traj_seeds):
+            calls.append(x)
+            if len(calls) == 2:
+                raise FloatingPointError("injected divergence")
+
+        monkeypatch.setattr(langevin, "_check_finite", fail_on_second_call)
+        with pytest.raises(FloatingPointError, match="injected divergence"):
+            simulate_erasure(pot, sched, params)
+        assert len(calls) == 2
+        assert threading.active_count() == before
 
     def test_seed_changes_results(self):
         pot = symmetric_double_well()
@@ -347,8 +436,8 @@ class TestNoiseFill:
     @staticmethod
     def fill(generators, n_traj, count=1024):
         noise = np.full((count, n_traj), np.nan, dtype=np.float32)
-        with ThreadPoolExecutor(2) as pool:
-            _fill_noise(noise, generators, count, np.float32(1.0), pool)
+        _fill_noise(noise, generators, iter(range(len(generators))), count,
+                    np.float32(1.0))
         return noise
 
     def test_standard_normal_with_uncorrelated_pairs(self):
