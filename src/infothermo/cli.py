@@ -381,6 +381,7 @@ def cmd_langevin(config: dict) -> int:
         "mean": ensemble.mean_work,
         "stderr": ensemble.stderr,
         "success_fraction": ensemble.success_fraction,
+        "clamp_hits": ensemble.clamp_hits,
         "erasure_bound": bound,
         "landauer_margin": landauer_margin,
         "delta_f_memory": eq.delta_f,

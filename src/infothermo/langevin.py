@@ -203,27 +203,42 @@ def tune_tilt_for_ratio(a: float, b: float, ratio: float,
                         temperature: float = 1.0) -> PotentialSpec:
     """Find the tilt c in [-2, 2] giving basin weights Z_left : Z_right = ratio : 1.
 
-    Bisection to 1e-12 on ln(Z_left / Z_right) - ln(ratio); a ValueError
-    when the bracket does not change its sign.
+    The Illinois method (regula falsi that halves the function value at an
+    end kept twice in a row) to a bracket of 1e-12 on
+    g(c) = (F_right - F_left) / T - ln(ratio), with a bisection step
+    wherever the secant point is not strictly inside the bracket; a
+    ValueError when the bracket does not change its sign.
     """
     if not (np.isfinite(ratio) and ratio > 0):
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
 
-    def above(c) -> bool:
+    def g(c) -> float:
         r = basin_free_energies(PotentialSpec((a, b, c)), temperature,
                                 barrier_factor=0.0)
-        return (r.f_right - r.f_left) / temperature > np.log(ratio)
+        return (r.f_right - r.f_left) / temperature - np.log(ratio)
 
     lo, hi = -2.0, 2.0
-    lo_above = above(lo)
-    if above(hi) == lo_above:
+    g_lo, g_hi = g(lo), g(hi)
+    if (g_lo > 0) == (g_hi > 0):
         raise ValueError(f"no tilt in [{lo}, {hi}] gives the basin weight ratio {ratio}")
+    kept = None                            # the end kept by the last step
     while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if above(mid) == lo_above:
-            lo = mid
+        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return PotentialSpec((a, b, mid))
+        if (g_mid > 0) == (g_hi > 0):
+            hi, g_hi = mid, g_mid
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
         else:
-            hi = mid
+            lo, g_lo = mid, g_mid
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
     return PotentialSpec((a, b, 0.5 * (lo + hi)))
 
 
@@ -344,6 +359,7 @@ class TrajectoryEnsemble:
     final_positions: np.ndarray
     final_basins: np.ndarray       # 0 = left (standard), 1 = right
     trajectory_seeds: np.ndarray   # seed word of each trajectory's chunk stream
+    clamp_hits: int                # positions the domain clamp moved, over all steps
 
     @property
     def mean_work(self) -> float:
@@ -448,6 +464,16 @@ def _check_finite(x: np.ndarray, traj_seeds: np.ndarray):
             f"stream seed {traj_seeds[bad]}) diverged")
 
 
+def _charge_segment(works: np.ndarray, sums: np.ndarray, rates, tmp: np.ndarray):
+    """Add a segment's work, its rates times its running sums of x^4, x^2
+    and x, to ``works`` and zero the sums; a zero rate adds nothing."""
+    for rate, total in zip(rates, sums):
+        if rate != 0.0:
+            np.multiply(total, rate, out=tmp)
+            works += tmp
+            total.fill(0.0)
+
+
 def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule, dt: float):
     """Reject dt above a tenth of the stiffest relaxation time 1 / max |V''|
     on the path."""
@@ -477,9 +503,21 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
 
-    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi.
-    Work is charged at parameter updates only, so a frozen protocol yields
-    exactly zero work on every trajectory.
+    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi, with the drift
+    step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
+    [x_min, x_max].  The clamp runs only on steps where max x^2 >= x_max^2,
+    which every step with a position outside the domain meets, so the
+    positions are those of clamping every step; `clamp_hits` counts the
+    positions it moved.
+
+    Work is charged at parameter updates only, as the Stieltjes sum
+    W = sum_j dV/dlambda(x_{j+1}) . (lambda_{j+1} - lambda_j), so a frozen
+    protocol yields exactly zero work on every trajectory.  A step inside
+    one linear segment [T_s, T_{s+1}] of the schedule adds x^4, x^2 or x
+    to a running sum, for each coefficient the segment varies; the sums
+    are charged at the segment's slope times dt when the segment ends.  A
+    step that straddles a knot is charged its own increments of
+    lambda(t) on the step grid.
 
     Random numbers come in chunks of 128 trajectories: trajectory i belongs
     to chunk k = i // 128, whose stream is SFC64 seeded by
@@ -523,6 +561,17 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     buffers = [np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32) for _ in range(2)]
     x2 = np.empty_like(x)
     tmp = np.empty_like(x)
+    # the clamp guard compares x^2 with x_max^2, so the domain must be symmetric
+    assert pot.x_min == -pot.x_max
+    edge2 = pot.x_max * pot.x_max
+    clamp_hits = 0
+    # the work per step in segment s per unit of x^4, x^2 and x: the slope
+    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x)
+    rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
+             * params.dt * [1.0, -1.0, 1.0]).tolist()
+    sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
+    sum4, sum2, sum1 = sums
+    segment = -1                           # the segment whose sums are open, or -1
 
     def start_fill(pool, j):
         """Hand the block that starts at step j to the fill thread."""
@@ -552,23 +601,48 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 # the block's coefficients at grid points j .. j + count, as
                 # Python floats: the same doubles, cheaper to unpack and to
                 # combine than numpy scalars
-                lam = schedule.coefficients_at((j + np.arange(count + 1)) * params.dt)
+                grid = (j + np.arange(count + 1)) * params.dt
+                lam = schedule.coefficients_at(grid)
                 steps = lam[:-1].tolist()
                 increments = np.diff(lam, axis=0).tolist()
+                # step j lies in segment s when T_s <= t_j and t_{j+1} <= T_{s+1};
+                # -1 marks a step that straddles a knot
+                first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
+                last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
+                step_segments = np.where(first == last, first, -1).tolist()
                 _check_finite(x, traj_seeds)
             a, b, c = steps[offset]
-            np.multiply(x2, x, out=tmp)
-            tmp *= -4.0 * a * drift            # -dt * 4a x^3
-            x *= 1.0 + 2.0 * b * drift         # x + dt * 2b x
-            x += tmp
+            np.multiply(x2, -4.0 * a * drift, out=tmp)
+            tmp += 1.0 + 2.0 * b * drift
+            x *= tmp                           # x + dt (2b x - 4a x^3), by Horner
             if c != 0.0:
                 x -= c * drift
             x += noise[offset]                 # already scaled by the kick
-            np.maximum(x, pot.x_min, out=x)    # clamp; cheaper than np.clip
-            np.minimum(x, pot.x_max, out=x)
             np.multiply(x, x, out=x2)          # for the work below and the next drift
-            da, db, dc = increments[offset]
-            if da != 0.0 or db != 0.0 or dc != 0.0:
+            # every |x| > x_max has x^2 >= x_max^2 after rounding, so the clamp
+            # moves no position unless this trips; a NaN does not trip it
+            if np.maximum.reduce(x2) >= edge2:
+                clamp_hits += np.count_nonzero((x < pot.x_min) | (x > pot.x_max))
+                np.maximum(x, pot.x_min, out=x)
+                np.minimum(x, pot.x_max, out=x)
+                np.multiply(x, x, out=x2)
+            s = step_segments[offset]
+            if s != segment:
+                if segment >= 0:
+                    _charge_segment(works, sums, rates[segment], tmp)
+                segment = s
+            if s >= 0:
+                r4, r2, r1 = rates[s]
+                if r4 != 0.0:
+                    np.multiply(x2, x2, out=tmp)
+                    sum4 += tmp
+                if r2 != 0.0:
+                    sum2 += x2
+                if r1 != 0.0:
+                    sum1 += x
+            else:
+                # a step across a knot is charged its own grid increments
+                da, db, dc = increments[offset]
                 if da != 0.0:
                     np.multiply(x2, x2, out=tmp)
                     tmp *= da
@@ -579,6 +653,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 if dc != 0.0:
                     np.multiply(x, dc, out=tmp)
                     works += tmp
+    if segment >= 0:
+        _charge_segment(works, sums, rates[segment], tmp)
     _check_finite(x, traj_seeds)
 
     top_final = pot.barrier_top(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
@@ -589,6 +665,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
         final_positions=x,
         final_basins=basins,
         trajectory_seeds=traj_seeds,
+        clamp_hits=clamp_hits,
     )
 
 

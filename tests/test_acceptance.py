@@ -231,6 +231,8 @@ def test_criterion_7_langevin_reproduction():
     jz_audit = jarzynski_check(audit, reset_free_energy(eq, temperature))
 
     elapsed = time.time() - t0
+    # 10^4 trajectories through tau = 750, 480 and 8 at dt = 1e-3
+    particle_steps = 10_000 * (750_000 + 480_000 + 8_000)
     ratio = sym.mean_work / LN2
     ok = 0.95 <= ratio <= 1.05
     ok &= abs(asym.mean_work) <= 0.05
@@ -244,4 +246,6 @@ def test_criterion_7_langevin_reproduction():
            f"(success {sym.success_fraction:.4f}, z = {jz_sym.z_score:+.2f}); "
            f"asymmetric <W> = {asym.mean_work:.4f} "
            f"(success {asym.success_fraction:.4f}); "
-           f"audit z = {jz_audit.z_score:+.2f} [{elapsed:.0f}s]")
+           f"audit z = {jz_audit.z_score:+.2f}; clamp hits {sym.clamp_hits}, "
+           f"{asym.clamp_hits}, {audit.clamp_hits} "
+           f"[{elapsed:.0f}s, {particle_steps / elapsed:.3g} particle-steps/s]")

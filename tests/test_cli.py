@@ -233,6 +233,7 @@ class TestLangevin:
         assert len(lines) == 301
         summary = read_json(tmp_path / "l1.json")
         assert summary["success_fraction"] >= 0.99
+        assert summary["clamp_hits"] == 0
         assert summary["jarzynski_gated"]
 
     def test_frozen_schedule_zero_work(self, tmp_path):

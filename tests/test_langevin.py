@@ -124,10 +124,81 @@ class SerialFuture:
             self.deferred()
 
 
-def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500):
-    """The blocked, threaded kernel against a plain Euler-Maruyama loop in
-    the same arithmetic order, with each chunk's noise built by Box-Muller
-    from its documented stream.
+def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
+                       params: EnsembleParams) -> dict:
+    """A plain Euler-Maruyama loop in the kernel's arithmetic order, with
+    each chunk's noise built by Box-Muller from its documented stream.
+
+    The drift is Horner's x (1 + 2b dt - 4a dt x^2); the clamp is np.clip on
+    every step, with the positions it moves counted.  Each step's segment
+    is found by a loop over the knots: inside segment s, x^4, x^2 or x go
+    to running sums for the coefficients whose slope is non-zero, charged
+    at slope times dt when the segment changes and at the end; a step
+    across a knot is charged its own grid increments.  `per_step_works`
+    charges every step its grid increments, as a Stieltjes sum should
+    agree with up to rounding.
+    """
+    n_traj, dt = params.n_traj, params.dt
+    n_steps = round(sched.duration / dt)
+    widths = [min(128, n_traj - k) for k in range(0, n_traj, 128)]
+    grid = np.arange(n_steps + 1) * dt
+    lam = sched.coefficients_at(grid)
+    times, knots = sched.times, sched.knots
+    rates = [[(knots[s + 1][i] - knots[s][i]) / (times[s + 1] - times[s]) * dt * sign
+              for i, sign in enumerate((1.0, -1.0, 1.0))] for s in range(len(times) - 1)]
+    seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in range(len(widths))]
+    gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
+    x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
+                                  gens, n_traj)
+    kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
+    noise = np.hstack([box_muller_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
+    works = np.zeros(n_traj)
+    per_step_works = np.zeros(n_traj)
+    sums = [np.zeros(n_traj) for _ in range(3)]
+    segment = -1
+    hits = 0
+
+    def charge(works, s):
+        for i in range(3):
+            if rates[s][i] != 0.0:
+                works = works + sums[i] * rates[s][i]
+                sums[i] = np.zeros(n_traj)
+        return works
+
+    for j in range(n_steps):
+        a, b, c = lam[j]
+        x = x * ((x * x) * (-4.0 * a * dt) + (1.0 + 2.0 * b * dt)) - c * dt + noise[j]
+        hits += np.count_nonzero((x < pot.x_min) | (x > pot.x_max))
+        x = np.clip(x, pot.x_min, pot.x_max)
+        terms = ((x * x) * (x * x), x * x, x)
+        da, db, dc = lam[j + 1] - lam[j]
+        per_step_works = per_step_works + terms[0] * da + terms[1] * -db + terms[2] * dc
+        s = -1
+        for k in range(len(times) - 1):
+            if times[k] <= grid[j] and grid[j + 1] <= times[k + 1]:
+                s = k
+        if s != segment:
+            if segment >= 0:
+                works = charge(works, segment)
+            segment = s
+        if s >= 0:
+            for i in range(3):
+                if rates[s][i] != 0.0:
+                    sums[i] = sums[i] + terms[i]
+        else:
+            for term, increment in zip(terms, (da, -db, dc)):
+                if increment != 0.0:
+                    works = works + term * increment
+    if segment >= 0:
+        works = charge(works, segment)
+    words = [s.generate_state(1, np.uint64)[0] for s in seqs]
+    return {"positions": x, "works": works, "per_step_works": per_step_works,
+            "clamp_hits": hits, "seeds": np.repeat(words, widths)}
+
+
+def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500) -> int:
+    """The blocked, threaded kernel against `stepwise_reference` on the
+    ratio-4 erasure; returns the reference's clamp hits.
 
     The kernel runs on its own pool and on the eager pool, which
     fills block i + 1 before block i is stepped: a fill into the buffer
@@ -143,26 +214,13 @@ def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500):
         patch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
         runs.append(simulate_erasure(pot, sched, params))
 
-    widths = [128, n_traj - 128]
-    lam = sched.coefficients_at(np.arange(n_steps + 1) * params.dt)
-    seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in (0, 1)]
-    gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
-    x = _sample_initial_positions(pot, 1.0, params.initial_weights, gens, n_traj)
-    kick = np.float32(np.sqrt(2.0 * params.dt))
-    noise = np.hstack([box_muller_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
-    works = np.zeros(n_traj)
-    for j in range(n_steps):
-        a, b, c = lam[j]
-        x = (x * (1.0 + 2.0 * b * params.dt) + x * x * x * (-4.0 * a * params.dt)
-             - c * params.dt + noise[j])
-        x = np.clip(x, pot.x_min, pot.x_max)
-        da, db, dc = lam[j + 1] - lam[j]
-        works = works + (x * x) * (x * x) * da + (x * x) * -db + x * dc
-    words = [s.generate_state(1, np.uint64)[0] for s in seqs]
+    ref = stepwise_reference(pot, sched, params)
     for ens in runs:
-        assert np.array_equal(ens.final_positions, x)
-        assert np.array_equal(ens.works, works)
-        assert np.array_equal(ens.trajectory_seeds, np.repeat(words, widths))
+        assert np.array_equal(ens.final_positions, ref["positions"])
+        assert np.array_equal(ens.works, ref["works"])
+        assert np.array_equal(ens.trajectory_seeds, ref["seeds"])
+        assert ens.clamp_hits == ref["clamp_hits"]
+    return ref["clamp_hits"]
 
 
 class TestPotential:
@@ -250,6 +308,18 @@ class TestBasinFreeEnergies:
         tuned = tune_tilt_for_ratio(1.0, 6.5, ratio)
         assert abs(tuned.coefficients[2] - c_star) <= 1e-11
 
+    @pytest.mark.parametrize("ratio", [0.25, 2.0, 4.0])
+    def test_tune_takes_few_quadratures(self, ratio, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return basin_free_energies(*args, **kwargs)
+
+        monkeypatch.setattr(langevin, "basin_free_energies", counted)
+        tune_tilt_for_ratio(1.0, 6.5, ratio)
+        assert 0 < len(calls) <= 12
+
     def test_coarse_rule_fails_cross_check(self, monkeypatch):
         # a 4-node rule cannot resolve a basin on 4 or 8 panels: the two
         # panel counts disagree and the cross-check raises
@@ -324,6 +394,46 @@ class TestSimulation:
         # one step, one short of a 512-step noise block, one block, one
         # past it, and two blocks that reuse the first block's buffer
         assert_matches_stepwise_reference(130, n_steps)
+
+    def test_clamp_guard_matches_clamping_every_step(self, monkeypatch):
+        # a domain of +-1.95 cuts the wells at +-1.80 close: the clamp fires
+        # often, and the guarded clamp must give np.clip's positions and count
+        monkeypatch.setattr(PotentialSpec, "x_min", -1.95)
+        monkeypatch.setattr(PotentialSpec, "x_max", 1.95)
+        assert assert_matches_stepwise_reference(130) > 0
+
+    def test_nan_passes_the_clamp_guard_and_is_reported(self, monkeypatch):
+        # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
+        # NaN must survive the step loop and be reported, not clamped away
+        fill = langevin._fill_noise
+
+        def nan_kick(noise, *args):
+            fill(noise, *args)
+            noise[3, 5] = np.nan
+
+        monkeypatch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
+        monkeypatch.setattr(langevin, "_fill_noise", nan_kick)
+        pot = symmetric_double_well()
+        with pytest.raises(FloatingPointError, match="trajectory 5 "):
+            simulate_erasure(pot, erasure_protocol_schedule(pot, 0.1),
+                             EnsembleParams(n_traj=8, seed=0))
+
+    def test_segment_sums_match_per_step_charges(self):
+        # knots off the step grid, one on it (t = 0.5), two inside one step
+        # (0.6001 and 0.6004), and segments that vary a, b and c together
+        pot = symmetric_double_well()
+        sched = schedule_from_json({"duration": 1.1, "knots": [
+            {"time": t, "coefficients": k} for t, k in (
+                (0.0, [1.0, 6.5, 0.0]), (0.1234, [1.0, 6.5, 0.5]),
+                (0.5, [0.8, 5.0, 0.5]), (0.6001, [0.8, 5.5, 0.2]),
+                (0.6004, [0.9, 5.0, 0.0]), (0.7893, [0.8, 5.0, -0.3]),
+                (1.1, [1.0, 6.5, 0.0]))]})
+        params = EnsembleParams(n_traj=300, seed=23)
+        ens = simulate_erasure(pot, sched, params)
+        ref = stepwise_reference(pot, sched, params)
+        assert np.array_equal(ens.final_positions, ref["positions"])
+        assert np.abs(ens.works - ref["per_step_works"]).max() <= 1e-10
+        assert np.array_equal(ens.works, ref["works"])
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk; 300 are three, shared between the
@@ -510,6 +620,7 @@ class TestJarzynski:
             final_positions=np.zeros(100),
             final_basins=np.zeros(100, dtype=int),
             trajectory_seeds=np.zeros(100, dtype=np.uint64),
+            clamp_hits=0,
         )
         report = jarzynski_check(ens, 0.0)
         assert report.low_ess_warning
