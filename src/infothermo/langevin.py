@@ -386,48 +386,28 @@ def _chunk_columns(k: int, n_traj: int) -> slice:
 
 
 def _fill_noise(noise: np.ndarray, generators, chunks, count: int, kick: np.float32):
-    """Fill noise[:count] with kick-scaled Gaussian increments for the chunks
-    that the iterator ``chunks`` yields.
+    """Fill noise[:count] with two-point increments +-kick for the chunks that
+    the iterator ``chunks`` yields.
 
-    Box-Muller in float32: chunk k of width w, h = ceil(w / 2), draws its
-    (count, 2, h) uniforms from its own stream in one call, in C order, so
-    each step takes h radius uniforms u, then h angle uniforms v.  With
-    r = sqrt(-2 kick^2 log(1 - u)) and theta = 2 pi v, column c < h of the
-    chunk gets r cos(theta) and column c + h gets r sin(theta) of the same
-    pair.  1 - u lies in (0, 1], so r is finite and |r| <= kick sqrt(48 ln 2):
-    float32 uniforms cut the normal off at 5.77 sigma.  A trajectory's
-    increments do not depend on the block length or on any other chunk.
-    Two threads may share one iterator: each takes whole chunks, writes
-    only those chunks' columns and uses its own scratch buffers, so the
-    result does not depend on which thread fills which chunk.
+    Chunk k of width w draws ceil(count w / 64) 64-bit words from its own
+    stream in one `random_raw` call.  Their bytes, in little-endian order,
+    are unpacked most significant bit first into count w bits, read
+    row-major as the chunk's (count, w) block: bit 0 gives +kick, bit 1
+    gives -kick.  A 512-step block takes exactly 8 w words, so a
+    trajectory's increments do not depend on the block length or on any
+    other chunk.  Two threads may share one iterator: each takes whole
+    chunks and writes only those chunks' columns, so the result does not
+    depend on which thread fills which chunk.
     """
     n_traj = noise.shape[1]
-    radius_scale = np.float32(-2.0) * kick * kick
-    two_pi = np.float32(2.0 * np.pi)
-    uniforms = np.empty(count * _CHUNK, dtype=np.float32)
-    radii = np.empty(count * _CHUNK // 2, dtype=np.float32)
-    angles = np.empty_like(radii)
+    signs = np.array([kick, -kick], dtype=np.float32)
     for k in chunks:
         cols = _chunk_columns(k, n_traj)
         width = cols.stop - cols.start
-        h = -(-width // 2)
-        draw = uniforms[:count * 2 * h].reshape(count, 2, h)
-        generators[k].random(dtype=np.float32, out=draw)
-        # the two halves of each step's row go to contiguous arrays, so
-        # log, sqrt, cos and sin run as one SIMD loop, not one per row
-        r = radii[:count * h].reshape(count, h)
-        theta = angles[:count * h].reshape(count, h)
-        np.subtract(np.float32(1.0), draw[:, 0], out=r)
-        np.multiply(draw[:, 1], two_pi, out=theta)
-        np.log(r, out=r)
-        r *= radius_scale
-        np.sqrt(r, out=r)
-        cos = uniforms[:count * h].reshape(count, h)   # the draw is used up
-        np.cos(theta, out=cos)
-        np.sin(theta, out=theta)
-        out = noise[:count, cols]
-        np.multiply(cos, r, out=out[:, :h])
-        np.multiply(theta[:, :width - h], r[:, :width - h], out=out[:, h:])
+        n = count * width
+        words = generators[k].bit_generator.random_raw(-(-n // 64))
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n)
+        np.take(signs, bits.reshape(count, width), out=noise[:count, cols], mode="clip")
 
 
 def _sample_initial_positions(pot: PotentialSpec, temperature: float,
@@ -456,12 +436,14 @@ def _sample_initial_positions(pot: PotentialSpec, temperature: float,
     return out
 
 
-def _check_finite(x: np.ndarray, traj_seeds: np.ndarray):
+def _check_finite(x: np.ndarray, traj_seeds: np.ndarray, first: int, end: int):
+    """Raise if a position is NaN after steps [first, end), which were
+    finite before them."""
     if np.isnan(x).any():
         bad = int(np.flatnonzero(np.isnan(x))[0])
         raise FloatingPointError(
             f"trajectory {bad} (chunk {bad // _CHUNK}, column {bad % _CHUNK}, "
-            f"stream seed {traj_seeds[bad]}) diverged")
+            f"stream seed {traj_seeds[bad]}) diverged in steps [{first}, {end})")
 
 
 def _charge_segment(works: np.ndarray, sums: np.ndarray, rates, tmp: np.ndarray):
@@ -503,12 +485,12 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
 
-    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi, with the drift
-    step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
-    [x_min, x_max].  The clamp runs only on steps where max x^2 >= x_max^2,
-    which every step with a position outside the domain meets, so the
-    positions are those of clamping every step; `clamp_hits` counts the
-    positions it moved.
+    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1 (see
+    below), the drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then
+    x clamped to [x_min, x_max].  The clamp runs only on steps where
+    max x^2 >= x_max^2, which every step with a position outside the
+    domain meets, so the positions are those of clamping every step;
+    `clamp_hits` counts the positions it moved.
 
     Work is charged at parameter updates only, as the Stieltjes sum
     W = sum_j dV/dlambda(x_{j+1}) . (lambda_{j+1} - lambda_j), so a frozen
@@ -524,12 +506,16 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     SeedSequence(seed, spawn_key=(k,)), the k-th child of
     SeedSequence(seed).spawn.  That stream draws, in order, the chunk's
     initial basins and rejection rounds (`_sample_initial_positions`), then
-    its noise as float32 uniforms, step by step: for a chunk of width w and
-    h = ceil(w / 2), h radius uniforms then h angle uniforms, which
-    `_fill_noise` turns by Box-Muller into the kicks of columns c and c + h.
-    A full chunk's trajectories thus depend only on (seed, k), not on
-    n_traj or on which thread fills the chunk, and a chunk replays on its
-    own; a partial last chunk also depends on its width.
+    its noise as raw 64-bit words, one bit per increment: `_fill_noise`
+    reads each block's bits row-major, step by step and column by column
+    within the chunk, and turns bit 0 into +kick and bit 1 into -kick, with
+    kick = sqrt(2 T dt) in float32.  This two-point law, xi = +-1 with
+    probability 1/2 each, is the simplified weak Euler scheme (Kloeden &
+    Platen, Numerical Solution of SDEs, 14.1): xi has a unit normal's
+    first three moments, and ensemble averages keep weak order 1.  A full
+    chunk's trajectories thus depend only on (seed, k), not on n_traj or
+    on which thread fills the chunk, and a chunk replays on its own; a
+    partial last chunk also depends on its width.
     `trajectory_seeds[i]` is the first 64-bit word of chunk k's seed state,
     shared by its trajectories.
 
@@ -572,6 +558,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
     sum4, sum2, sum1 = sums
     segment = -1                           # the segment whose sums are open, or -1
+    checked = 0                            # x was finite before step `checked`
 
     def start_fill(pool, j):
         """Hand the block that starts at step j to the fill thread."""
@@ -610,7 +597,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
                 last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
                 step_segments = np.where(first == last, first, -1).tolist()
-                _check_finite(x, traj_seeds)
+                _check_finite(x, traj_seeds, checked, j)
+                checked = j
             a, b, c = steps[offset]
             np.multiply(x2, -4.0 * a * drift, out=tmp)
             tmp += 1.0 + 2.0 * b * drift
@@ -655,7 +643,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                     works += tmp
     if segment >= 0:
         _charge_segment(works, sums, rates[segment], tmp)
-    _check_finite(x, traj_seeds)
+    _check_finite(x, traj_seeds, checked, n_steps)
 
     top_final = pot.barrier_top(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
     basins = (x >= top_final).astype(int)

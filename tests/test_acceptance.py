@@ -208,6 +208,7 @@ def test_criterion_6_classical_decomposition():
 
 def test_criterion_7_langevin_reproduction():
     t0 = time.time()
+    cpu0 = time.process_time()
     temperature = 1.0
     pot_sym = symmetric_double_well()
     sym = simulate_erasure(
@@ -231,6 +232,9 @@ def test_criterion_7_langevin_reproduction():
     jz_audit = jarzynski_check(audit, reset_free_energy(eq, temperature))
 
     elapsed = time.time() - t0
+    # CPU seconds of every thread of this process: unlike the elapsed time,
+    # they do not grow while other programs hold the cores
+    cpu = time.process_time() - cpu0
     # 10^4 trajectories through tau = 750, 480 and 8 at dt = 1e-3
     particle_steps = 10_000 * (750_000 + 480_000 + 8_000)
     ratio = sym.mean_work / LN2
@@ -248,4 +252,5 @@ def test_criterion_7_langevin_reproduction():
            f"(success {asym.success_fraction:.4f}); "
            f"audit z = {jz_audit.z_score:+.2f}; clamp hits {sym.clamp_hits}, "
            f"{asym.clamp_hits}, {audit.clamp_hits} "
-           f"[{elapsed:.0f}s, {particle_steps / elapsed:.3g} particle-steps/s]")
+           f"[{elapsed:.0f}s, {cpu:.0f}s CPU, "
+           f"{particle_steps / elapsed:.3g} particle-steps/s]")

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, optimize, stats
+from scipy import integrate, linalg, optimize, special, stats
 
 from infothermo import langevin
 from infothermo.langevin import (
@@ -71,13 +72,60 @@ def equilibrium_positions(pot: PotentialSpec, temperature: float, n_traj: int,
     return ensemble.final_positions
 
 
-def box_muller_noise(gen, n_steps: int, width: int, kick: np.float32) -> np.ndarray:
-    """A chunk's kicks for all steps from one draw of (n_steps, 2, h) uniforms."""
-    h = -(-width // 2)
-    u = gen.random((n_steps, 2, h), dtype=np.float32)
-    r = np.sqrt(np.float32(-2.0) * kick * kick * np.log(np.float32(1.0) - u[:, 0]))
-    theta = np.float32(2.0 * np.pi) * u[:, 1]
-    return np.hstack([r * np.cos(theta), (r * np.sin(theta))[:, :width - h]])
+def two_point_noise(gen, n_steps: int, width: int, kick: np.float32) -> np.ndarray:
+    """A chunk's kicks for all steps from one draw of raw 64-bit words.
+
+    Increment i, row-major over (step, column), is bit i of the words read
+    as little-endian bytes, most significant bit first: bit 7 - i % 8 of
+    byte i // 8 % 8 of word i // 64.  Bit 0 is +kick, bit 1 is -kick.
+    """
+    n = n_steps * width
+    words = gen.bit_generator.random_raw(-(-n // 64))
+    i = np.arange(n, dtype=np.uint64)
+    bits = (words[i // 64] >> (8 * (i % 64 // 8) + 7 - i % 8)) & 1
+    return np.where(bits == 0, kick, -kick).astype(np.float32).reshape(n_steps, width)
+
+
+def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
+                          h_t: float, n_cells: int = 300,
+                          temperature: float = 1.0) -> tuple:
+    """Oracle for <W> and the success fraction with no noise law at all.
+
+    A finite-volume master equation on n_cells cells over the clamp domain
+    with reflecting walls and Scharfetter-Gummel rates (T / h^2) B(+-dV / T),
+    B(z) = z / (e^z - 1), between neighbouring cells, so detailed balance
+    holds exactly on the grid.  It starts from the Boltzmann density within
+    each basin, scaled to the basin `weights`.  Each time step h_t quenches,
+    adding p . (V(lambda_{j+1}) - V(lambda_j)) to the work, then relaxes by
+    one implicit-Euler step (I - h_t L) p' = p.  The error is O(h_t).
+    """
+    edges = np.linspace(pot.x_min, pot.x_max, n_cells + 1)
+    x = 0.5 * (edges[:-1] + edges[1:])
+    scale = temperature / (edges[1] - edges[0]) ** 2
+    n_steps = round(sched.duration / h_t)
+    lam = sched.coefficients_at(np.arange(n_steps + 1) * h_t)
+    v = pot.value(x, tuple(lam[0]))
+    p = np.exp(-(v - v.min()) / temperature)
+    left = x < pot.barrier_top(tuple(lam[0]))
+    p[left] *= weights[0] / p[left].sum()
+    p[~left] *= weights[1] / p[~left].sum()
+    work = 0.0
+    bands = np.zeros((3, n_cells))         # the corners [0, 0] and [2, -1] stay 0
+    for coefficients in lam[1:]:
+        v_next = pot.value(x, tuple(coefficients))
+        work += p @ (v_next - v)
+        v = v_next
+        z = np.diff(v) / temperature
+        up = scale / special.exprel(z)        # rate from cell i to i + 1
+        down = scale / special.exprel(-z)     # rate from cell i + 1 to i
+        bands[0, 1:] = -h_t * down
+        bands[2, :-1] = -h_t * up
+        bands[1] = 1.0
+        bands[1, :-1] += h_t * up
+        bands[1, 1:] += h_t * down
+        p = linalg.solve_banded((1, 1), bands, p)
+    success = p[x < pot.barrier_top(tuple(lam[-1]))].sum()
+    return float(work), float(success)
 
 
 class EagerPool:
@@ -127,7 +175,7 @@ class SerialFuture:
 def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
                        params: EnsembleParams) -> dict:
     """A plain Euler-Maruyama loop in the kernel's arithmetic order, with
-    each chunk's noise built by Box-Muller from its documented stream.
+    each chunk's two-point noise read bit by bit from its documented stream.
 
     The drift is Horner's x (1 + 2b dt - 4a dt x^2); the clamp is np.clip on
     every step, with the positions it moves counted.  Each step's segment
@@ -151,7 +199,7 @@ def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
     x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
                                   gens, n_traj)
     kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
-    noise = np.hstack([box_muller_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
+    noise = np.hstack([two_point_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
     works = np.zeros(n_traj)
     per_step_works = np.zeros(n_traj)
     sums = [np.zeros(n_traj) for _ in range(3)]
@@ -386,7 +434,7 @@ class TestSimulation:
         assert_matches_stepwise_reference(130)
 
     def test_matches_stepwise_reference_odd_partial_chunk(self):
-        # a partial chunk of width 3: two cosine columns, one sine column
+        # a partial chunk of width 3: a block's rows do not start on a word
         assert_matches_stepwise_reference(131)
 
     @pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1024])
@@ -404,19 +452,29 @@ class TestSimulation:
 
     def test_nan_passes_the_clamp_guard_and_is_reported(self, monkeypatch):
         # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
-        # NaN must survive the step loop and be reported, not clamped away
+        # NaN must survive the step loop and be reported, not clamped away,
+        # with the steps of the block it appeared in: the only block, the
+        # last of two, the middle of three
         fill = langevin._fill_noise
-
-        def nan_kick(noise, *args):
-            fill(noise, *args)
-            noise[3, 5] = np.nan
-
         monkeypatch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
-        monkeypatch.setattr(langevin, "_fill_noise", nan_kick)
         pot = symmetric_double_well()
-        with pytest.raises(FloatingPointError, match="trajectory 5 "):
-            simulate_erasure(pot, erasure_protocol_schedule(pot, 0.1),
-                             EnsembleParams(n_traj=8, seed=0))
+        for duration, block, steps in ((0.1, 0, "[0, 100)"), (0.8, 1, "[512, 800)"),
+                                       (1.2, 1, "[512, 1024)")):
+            calls = []
+
+            def nan_kick(noise, *args):
+                fill(noise, *args)
+                calls.append(args)
+                # the eager pool fills block b on call 2b + 1; the main
+                # thread's call 2b + 2 finds no chunk left
+                if len(calls) == 2 * block + 1:
+                    noise[3, 5] = np.nan
+
+            monkeypatch.setattr(langevin, "_fill_noise", nan_kick)
+            with pytest.raises(FloatingPointError, match=r"trajectory 5 .* diverged in "
+                               r"steps " + re.escape(steps) + "$"):
+                simulate_erasure(pot, erasure_protocol_schedule(pot, duration),
+                                 EnsembleParams(n_traj=8, seed=0))
 
     def test_segment_sums_match_per_step_charges(self):
         # knots off the step grid, one on it (t = 0.5), two inside one step
@@ -481,7 +539,7 @@ class TestSimulation:
         # has started, so the error leaves a fill in flight
         calls = []
 
-        def fail_on_second_call(x, traj_seeds):
+        def fail_on_second_call(x, traj_seeds, first, end):
             calls.append(x)
             if len(calls) == 2:
                 raise FloatingPointError("injected divergence")
@@ -541,41 +599,74 @@ class TestSimulation:
 
 
 class TestNoiseFill:
-    """The Box-Muller fill at kick 1: a standard normal law, pairwise."""
+    """The two-point fill: +-kick with equal odds, independent increments."""
 
-    @staticmethod
-    def fill(generators, n_traj, count=1024):
-        noise = np.full((count, n_traj), np.nan, dtype=np.float32)
-        _fill_noise(noise, generators, iter(range(len(generators))), count,
-                    np.float32(1.0))
-        return noise
+    kick = np.float32(np.sqrt(2.0e-3))
 
-    def test_standard_normal_with_uncorrelated_pairs(self):
+    def fill(self, seed, n_traj, count=1024):
         gens = [np.random.Generator(np.random.SFC64(s))
-                for s in np.random.SeedSequence(91).spawn(2)]
-        noise = self.fill(gens, 256).astype(float)
-        assert np.isfinite(noise).all()
-        assert np.abs(noise).max() <= np.sqrt(48.0 * np.log(2.0))
-        values = noise.ravel()
-        assert stats.kstest(values, "norm").pvalue > 0.01
-        # variance of a sample variance of n unit normals: 2 / n
-        assert abs(values.var() - 1.0) < 4.0 * np.sqrt(2.0 / values.size)
-        # column c carries r cos(theta), column c + 64 r sin(theta) of one pair
-        chunks = noise.reshape(-1, 2, 2, 64)
-        cos_half = chunks[:, :, 0].ravel()
-        sin_half = chunks[:, :, 1].ravel()
-        limit = 4.0 / np.sqrt(cos_half.size)
-        assert abs(np.corrcoef(cos_half, sin_half)[0, 1]) < limit
-        assert abs(np.corrcoef(cos_half ** 2, sin_half ** 2)[0, 1]) < limit
+                for s in np.random.SeedSequence(seed).spawn(-(-n_traj // 128))]
+        noise = np.full((count, n_traj), np.nan, dtype=np.float32)
+        _fill_noise(noise, gens, iter(range(len(gens))), count, self.kick)
+        return noise, gens
 
-    def test_zero_uniforms_give_finite_noise(self):
-        # u = 0 is a possible float32 uniform; 1 - u keeps the log finite
-        class ZeroUniforms:
-            def random(self, dtype, out):
-                out[...] = 0.0
+    def test_values_are_exactly_plus_minus_kick(self):
+        noise, _ = self.fill(91, 131)
+        assert set(np.unique(noise)) == {self.kick, -self.kick}
 
-        noise = self.fill([ZeroUniforms(), ZeroUniforms()], 131, count=3)
-        assert np.isfinite(noise).all()
+    def test_balanced_signs_uncorrelated_across_steps_and_columns(self):
+        noise, _ = self.fill(92, 256)
+        signs = noise.astype(float) / float(self.kick)
+        assert stats.binomtest(int((signs > 0).sum()), signs.size, 0.5).pvalue > 0.01
+        # a sample correlation of n independent pairs has sd 1 / sqrt(n)
+        for first, second in ((signs[:-1], signs[1:]), (signs[:, :-1], signs[:, 1:])):
+            limit = 4.0 / np.sqrt(first.size)
+            assert abs(np.corrcoef(first.ravel(), second.ravel())[0, 1]) < limit
+
+    @pytest.mark.parametrize("n_traj", [256, 131])
+    def test_two_half_blocks_equal_one_block(self, n_traj):
+        # a 256-row block takes 4 w whole words, so the stream continues
+        # exactly where one 512-row block would; also for a chunk of width 3
+        whole, _ = self.fill(93, n_traj, count=512)
+        first, gens = self.fill(93, n_traj, count=256)
+        second = np.empty_like(first)
+        _fill_noise(second, gens, iter(range(len(gens))), 256, self.kick)
+        assert np.array_equal(whole, np.vstack([first, second]))
+
+
+class TestFokkerPlanckOracle:
+    def test_equilibrium_is_stationary_on_the_grid(self):
+        # Scharfetter-Gummel rates balance the Boltzmann weights cell by
+        # cell: a frozen protocol from the equilibrium weights does no work
+        # and keeps the basin weights
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        edges = np.linspace(pot.x_min, pot.x_max, 301)
+        x = 0.5 * (edges[:-1] + edges[1:])
+        boltzmann = np.exp(-pot.value(x))
+        left = boltzmann[x < pot.barrier_top()].sum() / boltzmann.sum()
+        work, success = fokker_planck_erasure(pot, frozen_schedule(pot, 2.0),
+                                              (left, 1.0 - left), h_t=0.01)
+        assert work == 0.0
+        assert success == pytest.approx(left, abs=1e-12)
+
+    def test_kernel_matches_fokker_planck(self):
+        # tau = 20, ratio 4: <W> against the oracle Richardson-extrapolated
+        # from h_t = 0.01 and 0.005 (first order in h_t); Euler-Maruyama's
+        # own O(dt) bias is about 0.01, well inside 4 standard errors
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        sched = erasure_protocol_schedule(pot, 20.0)
+        weights = (0.5, 0.5)
+        coarse, _ = fokker_planck_erasure(pot, sched, weights, h_t=0.01)
+        fine, fp_success = fokker_planck_erasure(pot, sched, weights, h_t=0.005)
+        w_fp = 2.0 * fine - coarse
+        # h_t = 0.005 and 0.0025 extrapolate to 0.8304 as well, and 600
+        # cells move <W> by 4e-4
+        assert w_fp == pytest.approx(0.8304, abs=1e-3)
+        assert fp_success >= 0.99
+        ens = simulate_erasure(pot, sched, EnsembleParams(n_traj=10_000, seed=29,
+                                                          initial_weights=weights))
+        assert abs(ens.mean_work - w_fp) <= 4.0 * ens.stderr
+        assert ens.success_fraction >= 0.99
 
 
 class TestJarzynski:
