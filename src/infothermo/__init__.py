@@ -13,7 +13,6 @@ from .measurement import (
     MeasurementModel,
     OutcomeStatistics,
     classical_decompose,
-    classical_mutual_information,
     outcome_statistics,
     qc_mutual_information,
     shannon_entropy,
@@ -31,9 +30,6 @@ from .operators import (
     HermitianOperator,
     canonical_state,
     partial_trace,
-    random_instance,
-    relative_entropy,
-    tensor,
     von_neumann_entropy,
 )
 from .protocols import (
@@ -84,7 +80,6 @@ __all__ = [
     "basin_free_energies",
     "canonical_state",
     "classical_decompose",
-    "classical_mutual_information",
     "entropy_balance",
     "erasure_schedule",
     "erasure_works",
@@ -94,16 +89,13 @@ __all__ = [
     "outcome_statistics",
     "partial_trace",
     "qc_mutual_information",
-    "random_instance",
     "reconcile_demon",
-    "relative_entropy",
     "run_erasure_protocol",
     "run_measurement_process",
     "run_schedule",
     "shannon_entropy",
     "simulate_erasure",
     "sweep",
-    "tensor",
     "twobox_layout",
     "two_branch_layout",
     "verify_sum_bound",

@@ -139,10 +139,6 @@ def _out(default: str) -> Option:
     return Option("out", str, default, "output file path", file="output")
 
 
-def _format(default: str) -> Option:
-    return Option("format", _json_or_csv, default, "output format: json or csv")
-
-
 TEMPERATURE = Option("temperature", lambda text: temperature_value(_finite(text)), 1.0,
                      "bath temperature (k_B = 1)")
 SEED = Option("seed", _integer(0), help="random seed", required=True)
@@ -314,10 +310,7 @@ def cmd_twobox(config: dict) -> int:
         params = TwoBoxParams(config["t"], volume=config["volume"],
                               temperature=config["temperature"])
     report = _provenance(config) | point_report(params)
-    if config["format"] == "csv":
-        write_csv(config["out"], SWEEP_COLUMNS, sweep([params.t], params.temperature))
-    else:
-        write_json(config["out"], report)
+    write_json(config["out"], report)
     print(f"twobox: t = {params.t}, W_eras = {report['W_eras']:.6f}, "
           f"W_meas = {report['W_meas']:.6f} -> {config['out']}")
     return EXIT_OK
@@ -345,6 +338,9 @@ def _summary_path(config: dict) -> str:
 
 def cmd_langevin(config: dict) -> int:
     with _input_errors():
+        if config["schedule"] and config["push_tilt"] is not None:
+            raise ValueError("--push-tilt shapes the default protocol only; "
+                             "a --schedule file sets its own tilts")
         summary_path = _summary_path(config)
         params = EnsembleParams(n_traj=config["n_traj"], seed=config["seed"],
                                 dt=config["dt"], temperature=config["temperature"])
@@ -422,12 +418,13 @@ COMMANDS = {
                file="output"),
     )),
     "twobox": Command(cmd_twobox, "two-box memory closed forms at one asymmetry", (
-        _out("twobox.json"), _format("json"), TEMPERATURE,
+        _out("twobox.json"), TEMPERATURE,
         Option("t", _finite, help="left-box volume fraction in (0,1)", required=True),
         Option("volume", _finite, 1.0, "total box volume"),
     )),
     "sweep": Command(cmd_sweep, "two-box work table over an asymmetry grid", (
-        _out("sweep.csv"), _format("csv"), TEMPERATURE,
+        _out("sweep.csv"), TEMPERATURE,
+        Option("format", _json_or_csv, "csv", "output format: json or csv"),
         Option("grid", str, "0.1:0.9:0.1",
                f"start:stop:step inside (0,1), at most {MAX_GRID_POINTS} points"),
     )),

@@ -255,6 +255,9 @@ class ProtocolSchedule:
         knots = np.asarray(self.knots, dtype=float)
         if times.ndim != 1 or knots.shape != (times.size, 3):
             raise ValueError("times and knots are inconsistent")
+        if not (np.isfinite(self.duration) and np.isfinite(times).all()
+                and np.isfinite(knots).all()):
+            raise ValueError("schedule duration, times and coefficients must be finite")
         if times[0] != 0.0 or abs(times[-1] - self.duration) > 1e-12:
             raise ValueError("knot times must start at 0 and end at the duration")
         if np.any(np.diff(times) <= 0):
@@ -498,8 +501,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     one linear segment [T_s, T_{s+1}] of the schedule adds x^4, x^2 or x
     to a running sum, for each coefficient the segment varies; the sums
     are charged at the segment's slope times dt when the segment ends.  A
-    step that straddles a knot is charged its own increments of
-    lambda(t) on the step grid.
+    step that straddles a knot is a one-step segment of its own, whose
+    rates are its increments of lambda(t) on the step grid.
 
     Random numbers come in chunks of 128 trajectories: trajectory i belongs
     to chunk k = i // 128, whose stream is SFC64 seeded by
@@ -557,7 +560,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
              * params.dt * [1.0, -1.0, 1.0]).tolist()
     sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
     sum4, sum2, sum1 = sums
-    segment = -1                           # the segment whose sums are open, or -1
+    open_rates = ()                        # the rates of the segment whose sums are open
     checked = 0                            # x was finite before step `checked`
 
     def start_fill(pool, j):
@@ -591,12 +594,14 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 grid = (j + np.arange(count + 1)) * params.dt
                 lam = schedule.coefficients_at(grid)
                 steps = lam[:-1].tolist()
-                increments = np.diff(lam, axis=0).tolist()
-                # step j lies in segment s when T_s <= t_j and t_{j+1} <= T_{s+1};
-                # -1 marks a step that straddles a knot
+                # step j lies in segment s when T_s <= t_j and t_{j+1} <= T_{s+1},
+                # and takes the list rates[s], one object for all of s; a step
+                # that straddles a knot takes a fresh tuple of its own increments
                 first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
                 last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
-                step_segments = np.where(first == last, first, -1).tolist()
+                increments = (np.diff(lam, axis=0) * [1.0, -1.0, 1.0]).tolist()
+                step_rates = [rates[s] if s == e else tuple(d)
+                              for s, e, d in zip(first.tolist(), last.tolist(), increments)]
                 _check_finite(x, traj_seeds, checked, j)
                 checked = j
             a, b, c = steps[offset]
@@ -614,35 +619,19 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                 np.maximum(x, pot.x_min, out=x)
                 np.minimum(x, pot.x_max, out=x)
                 np.multiply(x, x, out=x2)
-            s = step_segments[offset]
-            if s != segment:
-                if segment >= 0:
-                    _charge_segment(works, sums, rates[segment], tmp)
-                segment = s
-            if s >= 0:
-                r4, r2, r1 = rates[s]
-                if r4 != 0.0:
-                    np.multiply(x2, x2, out=tmp)
-                    sum4 += tmp
-                if r2 != 0.0:
-                    sum2 += x2
-                if r1 != 0.0:
-                    sum1 += x
-            else:
-                # a step across a knot is charged its own grid increments
-                da, db, dc = increments[offset]
-                if da != 0.0:
-                    np.multiply(x2, x2, out=tmp)
-                    tmp *= da
-                    works += tmp
-                if db != 0.0:
-                    np.multiply(x2, -db, out=tmp)
-                    works += tmp
-                if dc != 0.0:
-                    np.multiply(x, dc, out=tmp)
-                    works += tmp
-    if segment >= 0:
-        _charge_segment(works, sums, rates[segment], tmp)
+            r = step_rates[offset]
+            if r is not open_rates:
+                _charge_segment(works, sums, open_rates, tmp)
+                open_rates = r
+            r4, r2, r1 = r
+            if r4 != 0.0:
+                np.multiply(x2, x2, out=tmp)
+                sum4 += tmp
+            if r2 != 0.0:
+                sum2 += x2
+            if r1 != 0.0:
+                sum1 += x
+    _charge_segment(works, sums, open_rates, tmp)
     _check_finite(x, traj_seeds, checked, n_steps)
 
     top_final = pot.barrier_top(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))

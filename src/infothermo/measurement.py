@@ -18,7 +18,6 @@ from .operators import (
     MalformedPayloadError,
     entropy_of_matrix,
     matrix_from_json,
-    matrix_to_json,
     von_neumann_entropy,
 )
 
@@ -109,21 +108,6 @@ class MeasurementModel:
     @property
     def outcome_count(self) -> int:
         return len(self.operators)
-
-
-def projective_model(dim: int) -> MeasurementModel:
-    """Rank-1 projective measurement in the computational basis."""
-    eye = np.eye(dim, dtype=complex)
-    return MeasurementModel(tuple((np.outer(eye[k], eye[k]),) for k in range(dim)))
-
-
-def trivial_model(weights, dim: int) -> MeasurementModel:
-    """Outcome-independent POVM E_k = q_k * identity (no information gained)."""
-    q = np.asarray(weights, dtype=float)
-    if abs(q.sum() - 1.0) > POLICY.povm or q.min() < 0:
-        raise InvalidMeasurementError("weights must form a probability vector")
-    eye = np.eye(dim, dtype=complex)
-    return MeasurementModel(tuple((np.sqrt(qk) * eye,) for qk in q))
 
 
 def random_model(rng: np.random.Generator, dim: int, n_outcomes: int,
@@ -395,37 +379,8 @@ def product_form_deviation(unitary: np.ndarray, rho_s: DensityOperator,
     return float(np.max(np.abs(recon - target)))
 
 
-def classical_mutual_information(rho: DensityOperator, model: MeasurementModel) -> float:
-    """Mutual information of the joint (outcome, basis-state) distribution.
-
-    Meaningful for diagonal states and diagonal effects, where it must agree
-    with qc_mutual_information.
-    """
-    q = rho.diagonal()
-    joint = np.array([np.diag(e).real * q for e in model.effects])  # (k, s)
-    joint = np.clip(joint, 0.0, None)
-    pk = joint.sum(axis=1)
-    ps = joint.sum(axis=0)
-    total = 0.0
-    for k in range(joint.shape[0]):
-        for s in range(joint.shape[1]):
-            pks = joint[k, s]
-            if pks > POLICY.eig_clamp:
-                total += pks * np.log(pks / (pk[k] * ps[s]))
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"outcomes": [{"k": 0, "operators": [matrix, ...]}, ...]}
-
-def model_to_json(model: MeasurementModel) -> dict:
-    return {
-        "outcomes": [
-            {"k": k, "operators": [matrix_to_json(m) for m in ops]}
-            for k, ops in enumerate(model.operators)
-        ]
-    }
-
 
 def model_from_json(payload: dict) -> MeasurementModel:
     try:

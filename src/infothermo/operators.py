@@ -1,9 +1,9 @@
 """Finite-dimensional Hermitian operator algebra.
 
-Hermitian and density operators with validated invariants, von Neumann and
-relative entropies, canonical (thermal) states, tensor products and partial
-traces, and seeded random instances.  All entropies are in nats, energies in
-units of k_B*T unless an explicit temperature is supplied, and k_B = 1.
+Hermitian and density operators with validated invariants, the von Neumann
+entropy, canonical (thermal) states, partial traces, and the reader of the
+JSON matrix wire format.  All entropies are in nats, energies in units of
+k_B*T unless an explicit temperature is supplied, and k_B = 1.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import POLICY
-
-
-class SupportViolationError(ValueError):
-    """Relative entropy is infinite: support(rho) is not inside support(sigma)."""
 
 
 class MalformedPayloadError(ValueError):
@@ -101,12 +97,6 @@ class DensityOperator:
         return np.max(np.abs(off)) <= POLICY.validation
 
 
-def diagonal_state(populations) -> DensityOperator:
-    """Build a classical (diagonal) state from level populations."""
-    p = np.asarray(populations, dtype=float)
-    return DensityOperator(np.diag(p).astype(complex))
-
-
 def _entropy_from_eigenvalues(vals: np.ndarray) -> float:
     lam = vals[vals > POLICY.eig_clamp]
     # exact-zero clamp: pure states may land at -1e-16 from roundoff
@@ -145,37 +135,6 @@ def canonical_state(hamiltonian: HermitianOperator, temperature) -> tuple[Densit
     return DensityOperator(state), float(free_energy)
 
 
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Quantum relative entropy tr rho (ln rho - ln sigma), nonnegative.
-
-    Raises SupportViolationError when rho has weight outside the support of
-    sigma (the divergence is then infinite).
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    svals, svecs = sigma.spectrum()
-    on_support = svals > POLICY.support
-    null_vecs = svecs[:, ~on_support]
-    if null_vecs.shape[1]:
-        leak = np.max(np.real(np.einsum("ij,jk,ki->i", null_vecs.conj().T,
-                                        rho.entries, null_vecs)))
-        if leak > POLICY.support:
-            raise SupportViolationError(
-                f"support violation: weight {leak:.3e} outside support of sigma")
-    rvals, rvecs = rho.spectrum()
-    rpos = rvals > POLICY.eig_clamp
-    term_rho = float(np.sum(rvals[rpos] * np.log(rvals[rpos])))
-    # tr(rho ln sigma) summed over sigma's supported eigenvectors only
-    overlap = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho.entries, svecs))
-    term_sigma = float(np.sum(overlap[on_support] * np.log(svals[on_support])))
-    return term_rho - term_sigma
-
-
-def tensor(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
-    """Kronecker product of two states."""
-    return DensityOperator(np.kron(rho.entries, sigma.entries))
-
-
 def partial_trace(rho_ab: DensityOperator, trace_out: int, dims: tuple[int, int]) -> DensityOperator:
     """Trace out one tensor factor of a bipartite state.
 
@@ -199,48 +158,8 @@ def partial_trace(rho_ab: DensityOperator, trace_out: int, dims: tuple[int, int]
     return DensityOperator(reduced)
 
 
-def random_instance(seed: int, dim: int, kind: str):
-    """Deterministic random operator; kind selects the ensemble.
-
-    kind = "state": full-rank density operator (normalized Ginibre G G+).
-    kind = "hermitian": GUE-style Hermitian matrix.
-    kind = "unitary": Haar-distributed unitary (ndarray).
-    kind = "permutation": 0/1 permutation matrix (ndarray).
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    if kind == "state":
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = g @ g.conj().T
-        return DensityOperator(m / np.trace(m).real)
-    if kind == "hermitian":
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return HermitianOperator((g + g.conj().T) / 2)
-    if kind == "unitary":
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        phases = np.diag(r) / np.abs(np.diag(r))
-        return q * phases
-    if kind == "permutation":
-        perm = rng.permutation(dim)
-        m = np.zeros((dim, dim))
-        m[perm, np.arange(dim)] = 1.0
-        return m
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format for matrices: {"dim": n, "re": [[...]], "im": [[...]]}
-
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    m = np.asarray(matrix, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
 
 def matrix_from_json(payload: dict) -> np.ndarray:
     """Parse the matrix wire format, validating shape consistency."""

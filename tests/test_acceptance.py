@@ -25,14 +25,11 @@ from infothermo.langevin import (
 from infothermo.measurement import (
     classical_decompose,
     outcome_statistics,
-    projective_model,
     qc_mutual_information,
     random_model,
     shannon_entropy,
-    trivial_model,
 )
 from infothermo.memory import two_branch_layout
-from infothermo.operators import diagonal_state, random_instance
 from infothermo.protocols import (
     erasure_bound_suite,
     erasure_convergence,
@@ -40,6 +37,8 @@ from infothermo.protocols import (
     szilard_reconciliation,
 )
 from infothermo.twobox import sweep
+
+from builders import diagonal_state, projective_model, random_instance, trivial_model
 
 LN2 = np.log(2.0)
 

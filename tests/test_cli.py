@@ -11,9 +11,9 @@ import pytest
 import infothermo
 from infothermo import cli
 from infothermo.cli import main
-from infothermo.measurement import model_to_json, projective_model, trivial_model
 from infothermo.memory import RECONCILIATION_BOUND, bound_report
-from infothermo.operators import matrix_to_json
+
+from builders import matrix_to_json, model_to_json, projective_model, trivial_model
 
 LN2 = np.log(2.0)
 
@@ -199,6 +199,17 @@ class TestTwobox:
         assert main(["twobox", "--config", str(cfg), "--t", "0.5",
                      "--out", str(tmp_path / "t.json")]) == 2
 
+    def test_format_is_not_an_option(self, tmp_path):
+        # twobox writes JSON only; the table at one t is `sweep --grid t:t:1`
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["twobox", "--t", "0.3", "--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        assert main(["twobox", "--config", str(cfg), "--t", "0.3", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestSweep:
     def test_nine_rows_constant_sum(self, tmp_path):
@@ -272,6 +283,37 @@ class TestLangevin:
         assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
                      "--out", str(out), *flags]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration, middle", [
+        # the last knot's time is the duration: NaN there once ended in a traceback
+        (float("nan"), [1.0, 6.5, 0.0]),
+        # an infinite tilt once ran to mean W = nan, a NaN one to a divergence
+        (1.0, [1.0, 6.5, float("inf")]),
+        (1.0, [1.0, 6.5, float("nan")]),
+    ], ids=["nan-duration", "infinite-tilt", "nan-tilt"])
+    def test_non_finite_schedule_exits_2(self, tmp_path, capsys, duration, middle):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"duration": duration, "knots": [
+            {"time": 0.0, "coefficients": [1.0, 6.5, 0.0]},
+            {"time": 0.5, "coefficients": middle},
+            {"time": duration, "coefficients": [1.0, 6.5, 0.0]}]}))
+        out = tmp_path / "l.csv"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", str(sched),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_push_tilt_with_schedule_exits_2(self, tmp_path, capsys):
+        # a schedule sets its own tilts and duration; --push-tilt would be
+        # ignored yet recorded in the summary's config
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(FROZEN_SCHEDULE))
+        out = tmp_path / "l.csv"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", str(sched),
+                     "--push-tilt", "99", "--out", str(out)]) == 2
+        assert "--push-tilt" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_colliding_with_summary_exits_2(self, tmp_path):

@@ -20,8 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from infothermo.cli import main  # noqa: E402
-from infothermo.measurement import model_to_json, projective_model  # noqa: E402
-from infothermo.operators import matrix_to_json  # noqa: E402
+from builders import matrix_to_json, model_to_json, projective_model  # noqa: E402
 
 # candidate texts per option: (valid, invalid)
 TEMPERATURE = (["1", "0.5"], ["0", "-1", "nan", "inf", "-inf", "hot"])
@@ -46,7 +45,7 @@ POOLS = {
     "twobox": {
         "t": (["0.5", "0.8"], ["0", "1", "-0.1", "nan", "x"]),
         "volume": (["1", "2"], ["0", "-1", "inf"]),
-        "temperature": TEMPERATURE, "format": FORMAT, "out": OUT,
+        "temperature": TEMPERATURE, "out": OUT,
     },
     "sweep": {
         "grid": (["0.1:0.9:0.1", "0.2:0.8:0.2"],
@@ -61,7 +60,8 @@ POOLS = {
         "tau": (["0.5", "1"], ["0", "-1", "inf", "nan"]),
         "ratio": (["1", "4"], ["0", "-1", "1e6", "nan"]),
         "push_tilt": (["30"], ["0", "-30", "nan"]),
-        "schedule": (["frozen.json"], ["schedule_malformed.json", *BROKEN_FILES]),
+        "schedule": (["frozen.json"], ["schedule_malformed.json", "schedule_nan.json",
+                                       *BROKEN_FILES]),
         "quartic": (["1"], ["0", "-1", "x"]),
         "barrier": (["6.5"], ["2", "0", "-6.5"]),
         "out": OUT,
@@ -86,6 +86,9 @@ def write_input_files():
     dump("povm_incomplete.json", {"outcomes": [{"k": 0, "operators": [matrix_to_json(half)]}]})
     dump("povm_malformed.json", {"outcomes": [{"k": 0}]})
     dump("schedule_malformed.json", {"duration": 1.0})
+    dump("schedule_nan.json", {"duration": float("nan"), "knots": [
+        {"time": 0.0, "coefficients": [1.0, 6.5, 0.0]},
+        {"time": float("nan"), "coefficients": [1.0, 6.5, 0.0]}]})
     dump("frozen.json", {"duration": 0.5, "knots": [
         {"time": 0.0, "coefficients": [1.0, 6.5, 0.0]},
         {"time": 0.5, "coefficients": [1.0, 6.5, 0.0]}]})

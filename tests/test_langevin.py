@@ -478,20 +478,29 @@ class TestSimulation:
 
     def test_segment_sums_match_per_step_charges(self):
         # knots off the step grid, one on it (t = 0.5), two inside one step
-        # (0.6001 and 0.6004), and segments that vary a, b and c together
+        # (0.6001 and 0.6004), and segments that vary a, b and c together;
+        # then knots in the adjacent steps 600 and 601 (0.6001 and 0.6012),
+        # which are two one-step segments, not one; then a knot in step 512
+        # (0.5125), the first step of the second noise block
         pot = symmetric_double_well()
-        sched = schedule_from_json({"duration": 1.1, "knots": [
-            {"time": t, "coefficients": k} for t, k in (
-                (0.0, [1.0, 6.5, 0.0]), (0.1234, [1.0, 6.5, 0.5]),
-                (0.5, [0.8, 5.0, 0.5]), (0.6001, [0.8, 5.5, 0.2]),
-                (0.6004, [0.9, 5.0, 0.0]), (0.7893, [0.8, 5.0, -0.3]),
-                (1.1, [1.0, 6.5, 0.0]))]})
+        middles = (
+            ((0.1234, [1.0, 6.5, 0.5]), (0.5, [0.8, 5.0, 0.5]),
+             (0.6001, [0.8, 5.5, 0.2]), (0.6004, [0.9, 5.0, 0.0]),
+             (0.7893, [0.8, 5.0, -0.3])),
+            ((0.3, [0.9, 6.0, 0.4]), (0.6001, [0.8, 5.5, 0.2]),
+             (0.6012, [0.9, 4.0, -0.5]), (0.9, [0.9, 6.0, 0.1])),
+            ((0.5125, [0.8, 4.5, 0.6]), (0.8, [0.85, 5.0, -0.2])),
+        )
         params = EnsembleParams(n_traj=300, seed=23)
-        ens = simulate_erasure(pot, sched, params)
-        ref = stepwise_reference(pot, sched, params)
-        assert np.array_equal(ens.final_positions, ref["positions"])
-        assert np.abs(ens.works - ref["per_step_works"]).max() <= 1e-10
-        assert np.array_equal(ens.works, ref["works"])
+        for middle in middles:
+            knots = ((0.0, [1.0, 6.5, 0.0]), *middle, (1.1, [1.0, 6.5, 0.0]))
+            sched = schedule_from_json({"duration": 1.1, "knots": [
+                {"time": t, "coefficients": k} for t, k in knots]})
+            ens = simulate_erasure(pot, sched, params)
+            ref = stepwise_reference(pot, sched, params)
+            assert np.array_equal(ens.final_positions, ref["positions"])
+            assert np.abs(ens.works - ref["per_step_works"]).max() <= 1e-10
+            assert np.array_equal(ens.works, ref["works"])
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk; 300 are three, shared between the

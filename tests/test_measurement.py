@@ -5,19 +5,24 @@ from infothermo.measurement import (
     InvalidMeasurementError,
     MeasurementModel,
     classical_decompose,
-    classical_mutual_information,
     model_from_json,
-    model_to_json,
     outcome_statistics,
     post_measurement_state,
-    projective_model,
     qc_mutual_information,
     random_classical_model,
     random_model,
     shannon_entropy,
+)
+from infothermo.operators import DensityOperator
+
+from builders import (
+    classical_mutual_information,
+    diagonal_state,
+    model_to_json,
+    projective_model,
+    random_instance,
     trivial_model,
 )
-from infothermo.operators import DensityOperator, diagonal_state, random_instance
 
 LN2 = np.log(2.0)
 

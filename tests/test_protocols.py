@@ -7,7 +7,6 @@ from infothermo.measurement import (
     shannon_entropy,
 )
 from infothermo.memory import free_energies, random_layout, two_branch_layout, twobox_layout
-from infothermo.operators import diagonal_state
 from infothermo.protocols import (
     ACROSS,
     WITHIN,
@@ -28,6 +27,8 @@ from infothermo.protocols import (
     szilard_reconciliation,
     verify_sum_bound,
 )
+
+from builders import diagonal_state
 
 LN2 = np.log(2.0)
 

@@ -44,7 +44,7 @@ class TestJson:
 class TestGoldenMatrixWireFormat:
     def test_matrix_schema_frozen(self):
         # golden text for the {"dim", "re", "im"} schema under the 17g policy
-        from infothermo.operators import matrix_to_json
+        from builders import matrix_to_json
 
         m = np.diag([2 / 3, 1 / 3]).astype(complex)
         assert dumps(matrix_to_json(m)) == (
