@@ -19,9 +19,8 @@ from .measurement import (
 )
 from .memory import (
     BoundReport,
-    FreeEnergyReport,
     MemoryLayout,
-    free_energies,
+    free_energy_change,
     two_branch_layout,
     twobox_layout,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "BoundReport",
     "DensityOperator",
     "EnsembleParams",
-    "FreeEnergyReport",
     "HermitianOperator",
     "MeasurementModel",
     "MemoryLayout",
@@ -83,7 +81,7 @@ __all__ = [
     "entropy_balance",
     "erasure_schedule",
     "erasure_works",
-    "free_energies",
+    "free_energy_change",
     "jarzynski_check",
     "measurement_works",
     "outcome_statistics",

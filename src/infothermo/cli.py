@@ -207,6 +207,8 @@ def _provenance(config: dict) -> dict:
 MAX_GRID_POINTS = 100_000
 # a ramp holds one row of level energies per step: 5 instances peak near 100 MB here
 MAX_PROTOCOL_STEPS = 100_000
+# duration of the default erasure protocol; a --schedule file sets its own
+DEFAULT_TAU = 750.0
 # the langevin noise block holds 1024 float32 kicks per trajectory: 0.4 GB here
 MAX_TRAJECTORIES = 100_000
 
@@ -338,9 +340,10 @@ def _summary_path(config: dict) -> str:
 
 def cmd_langevin(config: dict) -> int:
     with _input_errors():
-        if config["schedule"] and config["push_tilt"] is not None:
-            raise ValueError("--push-tilt shapes the default protocol only; "
-                             "a --schedule file sets its own tilts")
+        for name in ("tau", "push_tilt"):
+            if config["schedule"] and config[name] is not None:
+                raise ValueError(f"--{name.replace('_', '-')} shapes the default protocol "
+                                 "only; a --schedule file sets its own duration and tilts")
         summary_path = _summary_path(config)
         params = EnsembleParams(n_traj=config["n_traj"], seed=config["seed"],
                                 dt=config["dt"], temperature=config["temperature"])
@@ -352,9 +355,11 @@ def cmd_langevin(config: dict) -> int:
         if config["schedule"]:
             schedule = _load_json_file(config["schedule"], schedule_from_json)
         else:
+            if config["tau"] is None:
+                config["tau"] = DEFAULT_TAU
             schedule = erasure_protocol_schedule(pot, config["tau"],
                                                  push_tilt=config["push_tilt"])
-        check_protocol(pot, schedule, params)
+        check_protocol(schedule, params)
 
     ensemble = simulate_erasure(pot, schedule, params)
     bound = temp * shannon_entropy(params.initial_weights) - eq.delta_f
@@ -433,7 +438,8 @@ COMMANDS = {
         Option("n_traj", _integer(1, MAX_TRAJECTORIES), 10_000,
                f"ensemble size, at most {MAX_TRAJECTORIES}"),
         Option("dt", _finite, 1e-3, "time step"),
-        Option("tau", _finite, 750.0, f"protocol duration, at most {MAX_STEPS} steps of dt"),
+        Option("tau", _finite, None, f"protocol duration (default {DEFAULT_TAU:g}), "
+               f"at most {MAX_STEPS} steps of dt"),
         Option("ratio", _finite, 1.0,
                "target basin weight ratio Z_left : Z_right (1 = symmetric)"),
         Option("push_tilt", _finite, None, "tilt of the push stage"),

@@ -53,44 +53,36 @@ class PotentialSpec:
             raise ValueError(f"quartic coefficient must be positive, got {a}")
         object.__setattr__(self, "coefficients", (a, b, c))
 
-    def value(self, x, coefficients=None):
-        a, b, c = self.coefficients if coefficients is None else coefficients
+    def value(self, x):
+        a, b, c = self.coefficients
         x = np.asarray(x, dtype=float)
         x2 = x * x
         return a * x2 * x2 - b * x2 + c * x
 
-    def curvature_bound(self, coefficients=None) -> float:
-        """max |V''| over the clamped domain."""
-        a, b, _ = self.coefficients if coefficients is None else coefficients
-        edge = max(self.x_min * self.x_min, self.x_max * self.x_max)
-        return max(abs(12.0 * a * edge - 2.0 * b), abs(2.0 * b))
-
-    def critical_points(self, coefficients=None) -> np.ndarray:
-        a, b, c = self.coefficients if coefficients is None else coefficients
+    def critical_points(self) -> np.ndarray:
+        a, b, c = self.coefficients
         roots = np.roots([4.0 * a, 0.0, -2.0 * b, c])
         real = roots[np.abs(roots.imag) < 1e-9].real
         inside = real[(real > self.x_min) & (real < self.x_max)]
         return np.sort(inside)
 
-    def barrier_top(self, coefficients=None) -> float:
+    def barrier_top(self) -> float:
         """Position of the interior maximum separating the two basins."""
-        a, b, c = self.coefficients if coefficients is None else coefficients
-        points = self.critical_points((a, b, c))
+        a, b, _ = self.coefficients
+        points = self.critical_points()
         curv = 12.0 * a * points * points - 2.0 * b
         tops = points[curv < 0]
         if tops.size != 1:
             raise SingleWellError(
-                f"potential {(a, b, c)} has no unique interior maximum")
+                f"potential {self.coefficients} has no unique interior maximum")
         return float(tops[0])
 
-    def barrier_height(self, coefficients=None) -> float:
+    def barrier_height(self) -> float:
         """min over basins of V(top) - V(basin minimum)."""
-        coeffs = self.coefficients if coefficients is None else coefficients
-        top = self.barrier_top(coeffs)
-        points = self.critical_points(coeffs)
+        top = self.barrier_top()
+        points = self.critical_points()
         minima = points[points != top]
-        v_top = self.value(top, coeffs)
-        depths = v_top - self.value(minima, coeffs)
+        depths = self.value(top) - self.value(minima)
         return float(depths.min())
 
 
@@ -99,8 +91,8 @@ def symmetric_double_well(a: float = 1.0, b: float = 6.5) -> PotentialSpec:
 
 
 def require_barrier(pot: PotentialSpec, temperature: float,
-                    coefficients=None, factor: float = BARRIER_MIN_FACTOR):
-    height = pot.barrier_height(coefficients)
+                    factor: float = BARRIER_MIN_FACTOR):
+    height = pot.barrier_height()
     if height < factor * temperature:
         raise ValueError(
             f"barrier {height:.3f} below the required {factor:.1f} * T "
@@ -459,10 +451,13 @@ def _charge_segment(works: np.ndarray, sums: np.ndarray, rates, tmp: np.ndarray)
             total.fill(0.0)
 
 
-def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule, dt: float):
+def check_timestep(schedule: ProtocolSchedule, dt: float):
     """Reject dt above a tenth of the stiffest relaxation time 1 / max |V''|
-    on the path."""
-    curv = max(pot.curvature_bound(tuple(row)) for row in schedule.knots)
+    on the path: |V''| = |12 a x^2 - 2 b| peaks at a domain end or at x = 0."""
+    a, b = schedule.knots[:, 0], schedule.knots[:, 1]
+    lo, hi = PotentialSpec.x_min, PotentialSpec.x_max
+    edge = max(lo * lo, hi * hi)
+    curv = float(np.max(np.maximum(np.abs(12.0 * a * edge - 2.0 * b), np.abs(2.0 * b))))
     limit = 0.1 / curv
     if dt > limit:
         raise UnstableTimestepError(
@@ -470,8 +465,7 @@ def check_timestep(pot: PotentialSpec, schedule: ProtocolSchedule, dt: float):
             f"(max |V''| = {curv:.1f})")
 
 
-def check_protocol(pot: PotentialSpec, schedule: ProtocolSchedule,
-                   params: EnsembleParams):
+def check_protocol(schedule: ProtocolSchedule, params: EnsembleParams):
     """Reject a protocol that starts or ends without a memory, whose dt is
     unstable, or that takes more than MAX_STEPS steps."""
     # compared before rounding: in Python floats a huge quotient is inf
@@ -479,9 +473,9 @@ def check_protocol(pot: PotentialSpec, schedule: ProtocolSchedule,
     if steps > MAX_STEPS:
         raise ValueError(f"duration / dt = {steps:.3g} exceeds the cap of "
                          f"{MAX_STEPS} steps")
-    require_barrier(pot, params.temperature, tuple(schedule.knots[0]))
-    require_barrier(pot, params.temperature, tuple(schedule.knots[-1]))
-    check_timestep(pot, schedule, params.dt)
+    for knot in (schedule.knots[0], schedule.knots[-1]):
+        require_barrier(PotentialSpec(tuple(knot)), params.temperature)
+    check_timestep(schedule, params.dt)
 
 
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
@@ -531,7 +525,7 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     most MAX_STEPS).  The fill thread ends before this function returns or
     raises.
     """
-    check_protocol(pot, schedule, params)
+    check_protocol(schedule, params)
     t_bath = params.temperature
     n_steps = int(round(schedule.duration / params.dt))
 
@@ -634,7 +628,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     _charge_segment(works, sums, open_rates, tmp)
     _check_finite(x, traj_seeds, checked, n_steps)
 
-    top_final = pot.barrier_top(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
+    final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
+    top_final = final.barrier_top()
     basins = (x >= top_final).astype(int)
     return TrajectoryEnsemble(
         params=params,

@@ -16,6 +16,7 @@ from .numerics import POLICY
 from .operators import (
     DensityOperator,
     MalformedPayloadError,
+    _entropy_from_eigenvalues,
     entropy_of_matrix,
     matrix_from_json,
     von_neumann_entropy,
@@ -40,8 +41,7 @@ def shannon_entropy(probabilities) -> float:
     total = p.sum()
     if abs(total - 1.0) > POLICY.povm:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    pos = p[p > POLICY.eig_clamp]
-    return max(float(-np.sum(pos * np.log(pos))), 0.0)
+    return _entropy_from_eigenvalues(p)
 
 
 def _hermitian_sqrt(effect: np.ndarray) -> np.ndarray:
@@ -244,31 +244,12 @@ class ClassicalDecomposition:
     """Result of decomposing a permutation interaction into measurement operators."""
 
     model: MeasurementModel
-    mb_destinations: tuple[int, ...]  # MB basis label each operator writes to
-    reconstruction: np.ndarray        # assembled SMB state
-    target: np.ndarray                # post-projection state P_k U rho U+ P_k
-    max_deviation: float
-
-
-def post_measurement_state(unitary: np.ndarray, rho_s: DensityOperator,
-                           rho_mb: DensityOperator) -> np.ndarray:
-    """Brute-force post-projection SMB state for diagonal classical inputs.
-
-    For diagonal rho_S (x) rho_MB and a permutation interaction the projected
-    state is the permuted joint diagonal itself.
-    """
-    q = _require_diagonal(rho_s, "rho_s")
-    r = _require_diagonal(rho_mb, "rho_mb")
-    joint = np.kron(q, r)
-    dest = _permutation_map(unitary)
-    out = np.zeros_like(joint)
-    out[dest] = joint
-    return np.diag(out).astype(complex)
+    mb_destinations: tuple[int, ...]  # MB basis label of each operator, outcome-major
+    max_deviation: float              # of the product form from the projected state
 
 
 def classical_decompose(unitary: np.ndarray, rho_s: DensityOperator,
-                        rho_mb: DensityOperator, branch_of_mb,
-                        return_details: bool = False):
+                        rho_mb: DensityOperator, branch_of_mb) -> ClassicalDecomposition:
     """Measurement operators realizing a classical memory-system interaction.
 
     Parameters
@@ -280,16 +261,16 @@ def classical_decompose(unitary: np.ndarray, rho_s: DensityOperator,
     branch_of_mb:
         Integer array mapping each MB basis index to its outcome branch
         (memory subspace label); defines the outcome grouping.
-    return_details:
-        When true, also return the reconstruction diagnostics.
 
     One operator is emitted per (occupied MB source, MB destination) pair;
-    each is a scaled partial permutation on S, so the assembled state
-    reproduces the post-projection state exactly.  The reconstruction check
-    is always on and raises ReconstructionError with the max deviation if it
-    fails.
+    each is a scaled partial permutation on S, so the operators M_i with
+    their MB destinations d_i reproduce the post-projection state exactly.
+    The check is always on: `product_form_deviation` evolves
+    rho_S (x) rho_MB through the unitary itself and compares the projected
+    state with sum_i M_i rho_S M_i+ (x) |d_i><d_i|; a deviation beyond
+    POLICY.povm raises ReconstructionError.
     """
-    q = _require_diagonal(rho_s, "rho_s")
+    _require_diagonal(rho_s, "rho_s")
     r = _require_diagonal(rho_mb, "rho_mb")
     branch = np.asarray(branch_of_mb, dtype=int)
     dim_s = rho_s.dim
@@ -322,30 +303,15 @@ def classical_decompose(unitary: np.ndarray, rho_s: DensityOperator,
         labels[k].append(dst_mb)
     model = MeasurementModel(tuple(tuple(g) for g in groups))
 
-    # always-on verification against the brute-force post-projection state
-    target = post_measurement_state(unitary, rho_s, rho_mb)
-    recon = np.zeros_like(target)
-    flat_labels = []
-    for k in range(n_outcomes):
-        for m, dst_mb in zip(model.operators[k], labels[k]):
-            block = m @ np.diag(q).astype(complex) @ m.conj().T
-            marker = np.zeros(dim_mb)
-            marker[dst_mb] = 1.0
-            recon += np.kron(block, np.diag(marker).astype(complex))
-            flat_labels.append(dst_mb)
-    deviation = float(np.max(np.abs(recon - target)))
+    destinations = tuple(d for group in labels for d in group)
+    basis = np.eye(dim_mb)
+    deviation = product_form_deviation(
+        unitary, rho_s, rho_mb, branch, [m for group in model.operators for m in group],
+        [np.diag(basis[d]) for d in destinations])
     if deviation > POLICY.povm:
         raise ReconstructionError(
             f"post-measurement reconstruction failed: max deviation {deviation:.3e}")
-    if not return_details:
-        return model
-    return model, ClassicalDecomposition(
-        model=model,
-        mb_destinations=tuple(flat_labels),
-        reconstruction=recon,
-        target=target,
-        max_deviation=deviation,
-    )
+    return ClassicalDecomposition(model, destinations, deviation)
 
 
 def product_form_deviation(unitary: np.ndarray, rho_s: DensityOperator,

@@ -98,36 +98,16 @@ def random_layout(rng: np.random.Generator) -> MemoryLayout:
     return MemoryLayout(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class FreeEnergyReport:
-    """Partition functions, branch free energies and the outcome-averaged change.
-
-    delta_f = sum_k p_k F_k - F_0 for the supplied outcome probabilities.
-    """
-
-    temperature: float
-    partition_functions: np.ndarray
-    free_energies: np.ndarray
-    probabilities: np.ndarray
-    delta_f: float
-
-    def __post_init__(self):
-        t = self.temperature
-        dev = np.max(np.abs(self.free_energies + t * np.log(self.partition_functions)))
-        if dev > POLICY.validation:
-            raise ValueError(f"free energies inconsistent with ln Z: deviation {dev:.3e}")
-
-
-def free_energies(layout: MemoryLayout, temperature, probabilities) -> FreeEnergyReport:
-    """Branch partition functions Z_k, F_k = -T ln Z_k, and delta_f."""
+def free_energy_change(layout: MemoryLayout, temperature, probabilities) -> float:
+    """Outcome-averaged free-energy change sum_k p_k F_k - F_0, with the
+    branch free energies F_k = -T ln Z_k."""
     t = temperature_value(temperature)
     p = np.asarray(probabilities, dtype=float)
     if p.size != layout.outcome_count:
         raise ValueError("probability vector length must match the outcome count")
     shannon_entropy(p)  # validates the distribution
-    z, f = layout.branch_free_energies(t)
-    delta = float(p @ f - f[0])
-    return FreeEnergyReport(t, z, f, p.copy(), delta)
+    _, f = layout.branch_free_energies(t)
+    return float(p @ f - f[0])
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def entropy_of_matrix(sigma: np.ndarray) -> float:
     """Entropy -sum(lam ln lam) of an (unnormalized) PSD Hermitian matrix."""
-    vals = np.linalg.eigvalsh(sigma)
-    lam = vals[vals > POLICY.eig_clamp]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log(lam)))
+    return _entropy_from_eigenvalues(np.linalg.eigvalsh(sigma))
 
 
 def canonical_state(hamiltonian: HermitianOperator, temperature) -> tuple[DensityOperator, float]:

@@ -32,7 +32,7 @@ from .memory import (
     BoundReport,
     MemoryLayout,
     bound_report,
-    free_energies,
+    free_energy_change,
     random_layout,
     twobox_layout,
 )
@@ -253,7 +253,7 @@ def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
             f"residual probability {residual:.3e} outside the standard branch "
             f"exceeds {EPS_RESIDUAL:.1e}")
 
-    rhs = t * shannon_entropy(p) - free_energies(layout, t, p).delta_f
+    rhs = t * shannon_entropy(p) - free_energy_change(layout, t, p)
     return record, bound_report(ERASURE_BOUND, record.work, rhs)
 
 
@@ -332,7 +332,7 @@ def run_measurement_process(layout: MemoryLayout, temperature,
 
     h = shannon_entropy(probs)
     info = qc_mutual_information(rho_s, model)
-    rhs = -t * (h - info) + free_energies(layout, t, probs).delta_f
+    rhs = -t * (h - info) + free_energy_change(layout, t, probs)
     return record, bound_report(MEASUREMENT_BOUND, record.work, rhs), info
 
 

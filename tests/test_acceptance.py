@@ -194,10 +194,9 @@ def test_criterion_6_classical_decomposition():
         else:
             weights = rng.dirichlet(np.ones(dim_mb))
         rho_mb = diagonal_state(weights)
-        model, details = classical_decompose(u, rho_s, rho_mb, branch,
-                                             return_details=True)
+        details = classical_decompose(u, rho_s, rho_mb, branch)
         worst = max(worst, details.max_deviation)
-        povm_ok &= np.max(np.abs(sum(model.effects) - np.eye(dim_s))) < 1e-9
+        povm_ok &= np.max(np.abs(sum(details.model.effects) - np.eye(dim_s))) < 1e-9
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and povm_ok
     report(6, ok, f"100 permutation instances up to 4x4x4 reconstructed, "

@@ -262,6 +262,8 @@ class TestLangevin:
         assert code == 0
         works = [float(r.split(",")[2]) for r in out.read_text().strip().split("\n")[1:]]
         assert works == [0.0] * 50
+        # the schedule's own duration ran, not a --tau default
+        assert read_json(tmp_path / "l.json")["config"]["tau"] is None
 
     def test_unstable_dt_exits_2(self, tmp_path):
         assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "5",
@@ -271,16 +273,16 @@ class TestLangevin:
         assert main(["langevin", "--out", str(tmp_path / "l.csv")]) == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--n-traj", "0"],
+        ["--n-traj", "0", "--tau", "1"],
         ["--schedule", "missing.json"],
         ["--schedule", "malformed.json"],
-        ["--ratio", "1e6"],  # no tilt in the bracket reaches this ratio
+        ["--ratio", "1e6", "--tau", "1"],  # no tilt in the bracket reaches this ratio
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, flags):
         (tmp_path / "malformed.json").write_text('{"duration": 1.0, "knots": [')
         flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
         out = tmp_path / "l.csv"
-        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
+        assert main(["langevin", "--seed", "1", "--n-traj", "8",
                      "--out", str(out), *flags]) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
@@ -314,6 +316,31 @@ class TestLangevin:
         assert main(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", str(sched),
                      "--push-tilt", "99", "--out", str(out)]) == 2
         assert "--push-tilt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tau_with_schedule_exits_2(self, tmp_path, capsys):
+        # a schedule sets its own duration; --tau was once ignored yet
+        # recorded in the summary's config
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(FROZEN_SCHEDULE))
+        out = tmp_path / "l.csv"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", str(sched),
+                     "--tau", "99", "--out", str(out)]) == 2
+        assert "--tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("quartic", [0.0, -1.0])
+    def test_non_positive_quartic_at_an_end_exits_2(self, tmp_path, capsys, end, quartic):
+        payload = json.loads(json.dumps(FROZEN_SCHEDULE))
+        payload["knots"][end]["coefficients"][0] = quartic
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(payload))
+        out = tmp_path / "l.csv"
+        assert main(["langevin", "--seed", "1", "--n-traj", "8", "--schedule", str(sched),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "quartic coefficient must be positive" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_out_colliding_with_summary_exits_2(self, tmp_path):

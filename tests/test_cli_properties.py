@@ -57,18 +57,19 @@ POOLS = {
         "seed": SEED, "temperature": TEMPERATURE,
         "n_traj": (["1", "16"], ["0", "-1", "x"]),
         "dt": (["0.001", "0.0005"], ["0.05", "0", "-0.001", "nan"]),
+        "schedule": (["frozen.json"], ["schedule_malformed.json", "schedule_nan.json",
+                                       *BROKEN_FILES]),
         "tau": (["0.5", "1"], ["0", "-1", "inf", "nan"]),
         "ratio": (["1", "4"], ["0", "-1", "1e6", "nan"]),
         "push_tilt": (["30"], ["0", "-30", "nan"]),
-        "schedule": (["frozen.json"], ["schedule_malformed.json", "schedule_nan.json",
-                                       *BROKEN_FILES]),
         "quartic": (["1"], ["0", "-1", "x"]),
         "barrier": (["6.5"], ["2", "0", "-6.5"]),
         "out": OUT,
     },
 }
 CONFIG_ONLY = {"quartic", "barrier"}
-# options whose default would make a large run: always given, never null
+# options whose default would make a large run: always given, never null;
+# a schedule sets its own duration, so a run with one may leave out tau
 BOUNDED = {"instances", "n_traj", "tau"}
 
 
@@ -121,7 +122,8 @@ def invocations(draw):
     argv, config = [command], {}
     for name, pool in POOLS[command].items():
         sources = ["flag", "flag", "config", "config", "both"]
-        if name not in BOUNDED:
+        scheduled = "--schedule" in argv or config.get("schedule") is not None
+        if name not in BOUNDED or (name == "tau" and scheduled):
             sources.append("absent")
         if name in CONFIG_ONLY:
             sources = [s for s in sources if s in ("config", "absent")]

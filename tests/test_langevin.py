@@ -104,15 +104,16 @@ def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
     scale = temperature / (edges[1] - edges[0]) ** 2
     n_steps = round(sched.duration / h_t)
     lam = sched.coefficients_at(np.arange(n_steps + 1) * h_t)
-    v = pot.value(x, tuple(lam[0]))
+    start = PotentialSpec(tuple(lam[0]))
+    v = start.value(x)
     p = np.exp(-(v - v.min()) / temperature)
-    left = x < pot.barrier_top(tuple(lam[0]))
+    left = x < start.barrier_top()
     p[left] *= weights[0] / p[left].sum()
     p[~left] *= weights[1] / p[~left].sum()
     work = 0.0
     bands = np.zeros((3, n_cells))         # the corners [0, 0] and [2, -1] stay 0
     for coefficients in lam[1:]:
-        v_next = pot.value(x, tuple(coefficients))
+        v_next = PotentialSpec(tuple(coefficients)).value(x)
         work += p @ (v_next - v)
         v = v_next
         z = np.diff(v) / temperature
@@ -124,7 +125,7 @@ def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
         bands[1, :-1] += h_t * up
         bands[1, 1:] += h_t * down
         p = linalg.solve_banded((1, 1), bands, p)
-    success = p[x < pot.barrier_top(tuple(lam[-1]))].sum()
+    success = p[x < PotentialSpec(tuple(lam[-1])).barrier_top()].sum()
     return float(work), float(success)
 
 

@@ -4,10 +4,10 @@ import pytest
 from infothermo.measurement import (
     InvalidMeasurementError,
     MeasurementModel,
+    ReconstructionError,
     classical_decompose,
     model_from_json,
     outcome_statistics,
-    post_measurement_state,
     qc_mutual_information,
     random_classical_model,
     random_model,
@@ -170,7 +170,7 @@ class TestClassicalDecompose:
         u[2, 3] = 1.0
         rho_s = diagonal_state([0.3, 0.7])
         rho_mb = diagonal_state([1.0, 0.0])
-        model = classical_decompose(u, rho_s, rho_mb, branch_of_mb=[0, 1])
+        model = classical_decompose(u, rho_s, rho_mb, branch_of_mb=[0, 1]).model
         flat = [m for ops in model.operators for m in ops]
         assert len(flat) == 2
         assert np.allclose(flat[0], np.diag([1.0, 0.0]), atol=1e-12)
@@ -179,7 +179,7 @@ class TestClassicalDecompose:
     def test_identity_interaction_single_outcome(self):
         rho_s = diagonal_state([0.4, 0.6])
         rho_mb = diagonal_state([0.7, 0.3])
-        model = classical_decompose(np.eye(4), rho_s, rho_mb, branch_of_mb=[0, 0])
+        model = classical_decompose(np.eye(4), rho_s, rho_mb, branch_of_mb=[0, 0]).model
         assert np.max(np.abs(model.effects[0] - np.eye(2))) < 1e-12
 
     def test_random_permutations_reconstruct(self):
@@ -192,10 +192,9 @@ class TestClassicalDecompose:
             bath = rng.dirichlet(np.ones(2))
             mb = np.concatenate([0.999 * bath, [0.0005, 0.0005]])
             rho_mb = diagonal_state(mb)
-            model, details = classical_decompose(
-                u, rho_s, rho_mb, branch_of_mb=branch, return_details=True)
+            details = classical_decompose(u, rho_s, rho_mb, branch_of_mb=branch)
             assert details.max_deviation <= 1e-9
-            total = sum(model.effects)
+            total = sum(details.model.effects)
             assert np.max(np.abs(total - np.eye(2))) < 1e-9
 
     def test_rejects_non_classical_state(self):
@@ -210,14 +209,18 @@ class TestClassicalDecompose:
             classical_decompose(u, diagonal_state([0.5, 0.5]),
                                 diagonal_state([1.0, 0.0]), [0, 1])
 
-    def test_target_state_is_permuted_diagonal(self):
-        u = random_instance(50, 4, "permutation")
-        rho_s = diagonal_state([0.25, 0.75])
-        rho_mb = diagonal_state([0.6, 0.4])
-        target = post_measurement_state(u, rho_s, rho_mb)
-        joint = np.kron([0.25, 0.75], [0.6, 0.4])
-        assert np.trace(target).real == pytest.approx(1.0, abs=1e-12)
-        assert sorted(np.diag(target).real) == pytest.approx(sorted(joint))
+    def test_wrong_operators_fail_the_reconstruction_check(self, monkeypatch):
+        # operators built from a wrong permutation must not pass: the check
+        # evolves the state through the unitary, not through the same map
+        from infothermo import measurement
+
+        permutation_map = measurement._permutation_map
+        monkeypatch.setattr(measurement, "_permutation_map",
+                            lambda u: np.roll(permutation_map(u), 1))
+        u = random_instance(50, 8, "permutation")
+        with pytest.raises(ReconstructionError):
+            classical_decompose(u, diagonal_state([0.25, 0.75]),
+                                diagonal_state([0.4, 0.3, 0.2, 0.1]), [0, 0, 1, 1])
 
 
 class TestProductFormDeviation:
@@ -230,9 +233,8 @@ class TestProductFormDeviation:
             u = random_instance(seed + 4000, 8, "permutation")
             rho_s = diagonal_state(rng.dirichlet(np.ones(2)))
             rho_mb = diagonal_state(rng.dirichlet(np.ones(4)))
-            model, details = classical_decompose(u, rho_s, rho_mb, branch,
-                                                 return_details=True)
-            flat_ops = [m for ops in model.operators for m in ops]
+            details = classical_decompose(u, rho_s, rho_mb, branch)
+            flat_ops = [m for ops in details.model.operators for m in ops]
             mb_states = []
             for dst in details.mb_destinations:
                 marker = np.zeros(4)

@@ -7,7 +7,7 @@ from infothermo.memory import (
     BoundReport,
     MemoryLayout,
     bound_report,
-    free_energies,
+    free_energy_change,
     random_layout,
     two_branch_layout,
     twobox_layout,
@@ -36,41 +36,42 @@ class TestMemoryLayout:
 class TestFreeEnergies:
     def test_symmetric_branches(self):
         layout = MemoryLayout((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
-        report = free_energies(layout, 1.0, [0.5, 0.5])
-        assert report.delta_f == pytest.approx(0.0, abs=1e-12)
+        assert free_energy_change(layout, 1.0, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_level_gap(self):
         eps = 0.8
         layout = two_branch_layout(eps)
-        report = free_energies(layout, 1.0, [0.5, 0.5])
-        assert report.delta_f == pytest.approx(eps / 2, abs=1e-12)
-        assert report.free_energies[1] == pytest.approx(eps, abs=1e-12)
+        assert free_energy_change(layout, 1.0, [0.5, 0.5]) == pytest.approx(eps / 2, abs=1e-12)
+        _, f = layout.branch_free_energies(1.0)
+        assert f[1] == pytest.approx(eps, abs=1e-12)
 
     def test_twobox_mapping(self):
         # branch partition functions in ratio t:(1-t) give (T/2) ln(t/(1-t))
         for t in (0.5, 2 / 3, 0.8):
             layout = twobox_layout(t, 1.0)
-            report = free_energies(layout, 1.0, [0.5, 0.5])
-            assert report.delta_f == pytest.approx(0.5 * np.log(t / (1 - t)), abs=1e-12)
+            assert free_energy_change(layout, 1.0, [0.5, 0.5]) == pytest.approx(
+                0.5 * np.log(t / (1 - t)), abs=1e-12)
 
     def test_degeneracy_equivalent_to_energy(self):
         # d-fold degenerate zero-energy branch matches a -T ln d level shift
         by_degeneracy = MemoryLayout((np.zeros(4), np.zeros(1)))
         by_energy = twobox_layout(0.8, 1.0)
-        r1 = free_energies(by_degeneracy, 1.0, [0.5, 0.5])
-        r2 = free_energies(by_energy, 1.0, [0.5, 0.5])
-        assert r1.delta_f == pytest.approx(r2.delta_f, abs=1e-12)
+        df1 = free_energy_change(by_degeneracy, 1.0, [0.5, 0.5])
+        df2 = free_energy_change(by_energy, 1.0, [0.5, 0.5])
+        assert df1 == pytest.approx(df2, abs=1e-12)
 
     def test_temperature_scaling(self):
         layout = two_branch_layout(1.0)
-        r = free_energies(layout, 2.0, [0.25, 0.75])
-        assert r.free_energies[0] == pytest.approx(0.0, abs=1e-12)
-        assert r.partition_functions[1] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        z, f = layout.branch_free_energies(2.0)
+        assert f[0] == pytest.approx(0.0, abs=1e-12)
+        assert z[1] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert free_energy_change(layout, 2.0, [0.25, 0.75]) == pytest.approx(
+            0.75 * f[1], abs=1e-12)
 
     def test_invalid_probabilities(self):
         layout = two_branch_layout(1.0)
         with pytest.raises(ValueError):
-            free_energies(layout, 1.0, [0.7, 0.7])
+            free_energy_change(layout, 1.0, [0.7, 0.7])
 
 
 class TestBoundReport:

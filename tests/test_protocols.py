@@ -6,7 +6,7 @@ from infothermo.measurement import (
     MeasurementModel, outcome_statistics, qc_mutual_information, random_classical_model,
     shannon_entropy,
 )
-from infothermo.memory import free_energies, random_layout, two_branch_layout, twobox_layout
+from infothermo.memory import free_energy_change, random_layout, two_branch_layout, twobox_layout
 from infothermo.protocols import (
     ACROSS,
     WITHIN,
@@ -244,7 +244,7 @@ class TestMeasurement:
         assert info == qc_mutual_information(rho, model)
         p = outcome_statistics(rho, model).probabilities
         expected = (-temperature * (shannon_entropy(p) - info)
-                    + free_energies(layout, temperature, p).delta_f)
+                    + free_energy_change(layout, temperature, p))
         assert report.rhs == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_quantum_state(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from infothermo.memory import twobox_layout, free_energies
+from infothermo.memory import twobox_layout, free_energy_change
 from infothermo.twobox import (
     TwoBoxParams,
     delta_free_energy,
@@ -105,7 +105,7 @@ class TestSaturationAndSymmetry:
         for t in (0.3, 0.5, 0.8):
             p = TwoBoxParams(float(t))
             df = delta_free_energy(p)
-            layout_df = free_energies(twobox_layout(t, 1.0), 1.0, [0.5, 0.5]).delta_f
+            layout_df = free_energy_change(twobox_layout(t, 1.0), 1.0, [0.5, 0.5])
             assert df == pytest.approx(layout_df, abs=1e-12)
             assert erasure_works(p).erasure_total == pytest.approx(LN2 - df, abs=1e-12)
             assert measurement_works(p).measurement_total == pytest.approx(df, abs=1e-12)
