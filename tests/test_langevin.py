@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import sys
@@ -17,8 +18,10 @@ from infothermo.langevin import (
     SingleWellError,
     UnstableTimestepError,
     _fill_noise,
+    _may_leave_domain,
     _sample_initial_positions,
     basin_free_energies,
+    check_timestep,
     erasure_protocol_schedule,
     jarzynski_check,
     reset_free_energy,
@@ -35,6 +38,16 @@ def frozen_schedule(pot: PotentialSpec, duration: float) -> ProtocolSchedule:
     """The potential held fixed for the whole duration."""
     lam = np.array(pot.coefficients)
     return ProtocolSchedule(duration, np.array([0.0, duration]), np.vstack([lam, lam]))
+
+
+def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
+    """Steps of a `simulate_erasure` run that `_may_leave_domain` flags, from
+    the kernel's own coefficient rows, kick and domain end."""
+    n_steps = int(round(schedule.duration / params.dt))
+    rows = schedule.coefficients_at(np.arange(n_steps) * params.dt)
+    kick = np.float32(np.sqrt(2.0 * params.temperature * params.dt))
+    flags = _may_leave_domain(rows, params.dt, float(kick), PotentialSpec.x_max)
+    return int(np.count_nonzero(flags))
 
 
 def quad_basin_weights(pot: PotentialSpec) -> tuple:
@@ -450,6 +463,10 @@ class TestSimulation:
         monkeypatch.setattr(PotentialSpec, "x_min", -1.95)
         monkeypatch.setattr(PotentialSpec, "x_max", 1.95)
         assert assert_matches_stepwise_reference(130) > 0
+        # the no-escape rule guards every step of that run
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        params = EnsembleParams(n_traj=130, seed=5)
+        assert flagged_steps(erasure_protocol_schedule(pot, 1.5), params) == 1500
 
     def test_nan_passes_the_clamp_guard_and_is_reported(self, monkeypatch):
         # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
@@ -642,6 +659,67 @@ class TestNoiseFill:
         second = np.empty_like(first)
         _fill_noise(second, gens, iter(range(len(gens))), 256, self.kick)
         assert np.array_equal(whole, np.vstack([first, second]))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 127, 128])
+    def test_byte_table_matches_bit_reference(self, width):
+        # chunk 0 is full and chunk 1 has the width under test; the two
+        # chunks go to two callers that share one iterator, as the fill
+        # thread and the main thread do, so a width that is not a multiple
+        # of 8 takes the scratch copy beside chunk 0's direct write
+        def streams():
+            return [np.random.Generator(np.random.SFC64(s))
+                    for s in np.random.SeedSequence(94).spawn(2)]
+
+        for count in (1, 7, 256, 512):
+            noise = np.full((count, 128 + width), np.nan, dtype=np.float32)
+            gens, chunks = streams(), iter(range(2))
+            _fill_noise(noise, gens, itertools.islice(chunks, 1), count, self.kick)
+            _fill_noise(noise, gens, chunks, count, self.kick)
+            ref = np.hstack([two_point_noise(g, count, w, self.kick)
+                             for g, w in zip(streams(), (128, width))])
+            assert np.array_equal(noise, ref)
+
+
+class TestNoEscapeRule:
+    """`_may_leave_domain`: a step it does not flag keeps every position of
+    the domain inside it, and it flags no step of the production runs."""
+
+    def test_unflagged_steps_stay_inside_the_domain(self):
+        # random rows (a, b, c), temperatures in [0.1, 4] and dt that
+        # check_timestep accepts, a quarter of them at its 0.1 budget and
+        # half with |c| up to 100; every unflagged step is run with the
+        # kernel's arithmetic from a dense grid that includes both ends
+        rng = np.random.default_rng(47)
+        lo, hi = PotentialSpec.x_min, PotentialSpec.x_max
+        x = np.linspace(lo, hi, 4001)
+        x2 = x * x
+        unflagged = 0
+        for i in range(3000):
+            a, b = rng.uniform(0.05, 3.0), rng.uniform(-3.0, 12.0)
+            c = rng.uniform(-100.0, 100.0) if i % 2 else rng.uniform(-2.0, 2.0)
+            budget = 0.1 / max(abs(12.0 * a * (hi * hi) - 2.0 * b), abs(2.0 * b))
+            dt = budget if i % 4 == 3 else budget * rng.uniform(0.01, 1.0)
+            temperature = rng.uniform(0.1, 4.0)
+            check_timestep(frozen_schedule(PotentialSpec((a, b, c)), 1.0), dt)
+            kick = np.float32(np.sqrt(2.0 * temperature * dt))
+            if _may_leave_domain(np.array([[a, b, c]]), dt, float(kick), hi)[0]:
+                continue
+            unflagged += 1
+            drifted = x * (x2 * (-4.0 * a * dt) + (1.0 + 2.0 * b * dt)) - c * dt
+            for noise in (kick, -kick):            # float32, widened as in the kernel
+                after = drifted + noise
+                assert lo < after.min() and after.max() < hi, (a, b, c, dt, kick)
+        # both outcomes are common, so the draws test the rule's edge
+        assert 500 < unflagged < 2500
+
+    @pytest.mark.parametrize("ratio, tau", [
+        (1.0, 750.0), (4.0, 480.0), (4.0, 8.0),   # criterion 7's three runs
+        (4.0, 20.0), (1.0, 100.0),                # the benchmark's Langevin runs
+    ])
+    def test_flags_no_step_of_the_production_runs(self, ratio, tau):
+        pot = tune_tilt_for_ratio(1.0, 6.5, ratio) if ratio != 1.0 else symmetric_double_well()
+        params = EnsembleParams(n_traj=1, seed=0)
+        assert flagged_steps(erasure_protocol_schedule(pot, tau), params) == 0
 
 
 class TestFokkerPlanckOracle:
