@@ -42,7 +42,6 @@ from .protocols import (
     verify_sum_bound,
 )
 from .twobox import (
-    StageWorkReport,
     TwoBoxParams,
     entropy_balance,
     erasure_works,
@@ -72,7 +71,6 @@ __all__ = [
     "ProtocolRecord",
     "ProtocolSchedule",
     "Stage",
-    "StageWorkReport",
     "TrajectoryEnsemble",
     "TwoBoxParams",
     "basin_free_energies",

@@ -150,7 +150,8 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
     the well and a narrow, deep well is resolved; the cut drops only where
     the integrand is below e^{-60} of its peak.  The same rule on 4
     panels is an always-on cross-check: an ArithmeticError is raised when
-    the two differ by more than 1e-8 relative.
+    Z_k is not positive and finite, or when the two differ by more than
+    1e-8 relative.
 
     delta_f is the outcome-averaged free-energy change for equal outcome
     weights with the left basin as the standard state.
@@ -163,6 +164,10 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
         left, right, v_min = _basin_window(pot, lo, hi, points, temperature)
         z = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS)
         coarse = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS // 2)
+        # an overflow makes z infinite, and then the comparison below is False
+        if not 0.0 < z < np.inf:
+            raise ArithmeticError(f"basin quadrature: Z = {z} on [{left}, {right}] "
+                                  "is not positive and finite")
         if abs(z - coarse) > 1e-8 * z:
             raise ArithmeticError("basin quadrature: the 8- and 4-panel rules differ "
                                   f"by {abs(z - coarse) / z:.1e} relative, beyond 1e-8")
@@ -380,9 +385,9 @@ def _chunk_columns(k: int, n_traj: int) -> slice:
     return slice(k * _CHUNK, min((k + 1) * _CHUNK, n_traj))
 
 
-def _fill_noise(noise: np.ndarray, generators, chunks, count: int, kick: np.float32):
-    """Fill noise[:count] with two-point increments +-kick for the chunks that
-    the iterator ``chunks`` yields.
+def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32):
+    """Fill noise[:count] with two-point increments +-kick, chunk by chunk,
+    chunk k from its stream generators[k].
 
     Chunk k of width w draws ceil(count w / 64) 64-bit words from its own
     stream in one `random_raw` call.  Their bytes, in little-endian order,
@@ -393,18 +398,16 @@ def _fill_noise(noise: np.ndarray, generators, chunks, count: int, kick: np.floa
     the block when w is a multiple of 8, else into a scratch array whose
     first count w values are copied.  A 512-step block takes exactly 8 w
     words, so a trajectory's increments do not depend on the block length
-    or on any other chunk.  Two threads may share one iterator: each takes
-    whole chunks and writes only those chunks' columns, so the result does
-    not depend on which thread fills which chunk.
+    or on any other chunk.
     """
     n_traj = noise.shape[1]
     bits = np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1
     table = np.array([kick, -kick], dtype=np.float32)[bits]
-    for k in chunks:
+    for k, generator in enumerate(generators):
         cols = _chunk_columns(k, n_traj)
         width = cols.stop - cols.start
         n = count * width
-        words = generators[k].bit_generator.random_raw(-(-n // 64))
+        words = generator.bit_generator.random_raw(-(-n // 64))
         octets = words.astype("<u8", copy=False).view(np.uint8)
         block = noise[:count, cols]
         # writing in place skips the copy: a 512 x 10^4 block fills in about
@@ -548,20 +551,18 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     probability 1/2 each, is the simplified weak Euler scheme (Kloeden &
     Platen, Numerical Solution of SDEs, 14.1): xi has a unit normal's
     first three moments, and ensemble averages keep weak order 1.  A full
-    chunk's trajectories thus depend only on (seed, k), not on n_traj or
-    on which thread fills the chunk, and a chunk replays on its own; a
-    partial last chunk also depends on its width.
-    `trajectory_seeds[i]` is the first 64-bit word of chunk k's seed state,
-    shared by its trajectories.
+    chunk's trajectories thus depend only on (seed, k), not on n_traj, and
+    a chunk replays on its own; a partial last chunk also depends on its
+    width.  `trajectory_seeds[i]` is the first 64-bit word of chunk k's
+    seed state, shared by its trajectories.
 
     The noise comes in blocks of 512 steps held in two alternating buffers:
-    one fill thread draws block i + 1 while the main thread steps block i,
-    and the main thread takes the chunks of block i + 1 the fill thread has
-    not reached before it joins the fill.  The fill of block i + 2 starts
-    only after that join, into block i's buffer.  The coefficients are
-    evaluated per block, so memory does not grow with the step count (at
-    most MAX_STEPS).  The fill thread ends before this function returns or
-    raises.
+    one fill thread fills block i + 1, every chunk of it, while the main
+    thread steps block i, and the main thread joins that fill before it
+    steps block i + 1.  The fill of block i + 2 starts only after that
+    join, into block i's buffer.  The coefficients are evaluated per block,
+    so memory does not grow with the step count (at most MAX_STEPS).  The
+    fill thread ends before this function returns or raises.
     """
     check_protocol(schedule, params)
     t_bath = params.temperature
@@ -598,29 +599,23 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
 
     def start_fill(pool, j):
         """Hand the block that starts at step j to the fill thread."""
-        count = min(_NOISE_BLOCK, n_steps - j)
-        noise = buffers[j // _NOISE_BLOCK % 2]
-        # next() on a range iterator is atomic under the GIL, so the fill
-        # thread and the main thread never take the same chunk
-        chunks = iter(range(n_chunks))
-        return noise, chunks, count, pool.submit(
-            _fill_noise, noise, generators, chunks, count, kick)
+        return pool.submit(_fill_noise, buffers[j // _NOISE_BLOCK % 2], generators,
+                           min(_NOISE_BLOCK, n_steps - j), kick)
 
     np.multiply(x, x, out=x2)              # x2 holds x * x at the top of every step
     with ThreadPoolExecutor(1) as pool:
-        pending = start_fill(pool, 0) if n_steps else None
+        fill = start_fill(pool, 0) if n_steps else None
         for j in range(n_steps):
             offset = j % _NOISE_BLOCK
             if offset == 0:
-                noise, chunks, count, fill = pending
-                # take the chunks the fill thread has not reached, then join it
-                _fill_noise(noise, generators, chunks, count, kick)
                 fill.result()
+                noise = buffers[j // _NOISE_BLOCK % 2]
+                count = min(_NOISE_BLOCK, n_steps - j)
                 # the next block goes to the other buffer, whose block was
                 # stepped in the last round, and draws each chunk's stream
                 # after this block has drawn it
                 if j + count < n_steps:
-                    pending = start_fill(pool, j + count)
+                    fill = start_fill(pool, j + count)
                 # the block's coefficients at grid points j .. j + count; each
                 # step's drift factors -4a dt, 1 + 2b dt and c dt, and whether
                 # it may leave the domain, as Python floats and bools, cheaper

@@ -1,16 +1,25 @@
 """Deterministic report writers.
 
 All numeric output is serialized with 17 significant digits so reruns of a
-subcommand produce byte-identical files; JSON keys are emitted sorted.
+subcommand produce byte-identical files; JSON keys are emitted sorted.  A
+NaN or an infinity is refused, in JSON and in CSV alike; a file's text is
+rendered before the file is opened, so a refused write neither creates nor
+truncates a file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 
 def format_float(value: float) -> str:
-    return f"{float(value):.17g}"
+    """17 significant digits; FloatingPointError for a NaN or an infinity,
+    which JSON has no literal for."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"refusing to write the non-finite number {value}")
+    return f"{value:.17g}"
 
 
 def _encode(obj) -> str:
@@ -42,8 +51,9 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj):
+    text = dumps(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def csv_rows(header, rows) -> str:
@@ -57,5 +67,6 @@ def csv_rows(header, rows) -> str:
 
 
 def write_csv(path, header, rows):
+    text = csv_rows(header, rows)
     with open(path, "w") as fh:
-        fh.write(csv_rows(header, rows))
+        fh.write(text)

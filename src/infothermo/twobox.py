@@ -34,25 +34,9 @@ class TwoBoxParams:
         object.__setattr__(self, "temperature", temperature_value(self.temperature))
 
 
-@dataclass(frozen=True)
-class StageWorkReport:
-    """Per-stage works and their totals; sum = erasure_total + measurement_total."""
-
-    stages: dict
-    erasure_total: float
-    measurement_total: float
-
-    @property
-    def sum(self) -> float:
-        return self.erasure_total + self.measurement_total
-
-    def to_json(self) -> dict:
-        return {
-            "stages": dict(self.stages),
-            "W_eras": self.erasure_total,
-            "W_meas": self.measurement_total,
-            "sum": self.sum,
-        }
+def _stage_report(stages: dict, w_eras: float, w_meas: float) -> dict:
+    """Per-stage works and the totals W_eras, W_meas and their sum."""
+    return {"stages": stages, "W_eras": w_eras, "W_meas": w_meas, "sum": w_eras + w_meas}
 
 
 def delta_free_energy(params: TwoBoxParams) -> float:
@@ -64,7 +48,7 @@ def delta_free_energy(params: TwoBoxParams) -> float:
     return 0.5 * temp * np.log(t / (1.0 - t))
 
 
-def erasure_works(params: TwoBoxParams) -> StageWorkReport:
+def erasure_works(params: TwoBoxParams) -> dict:
     """Stage works of quasi-static erasure back to the standard (left) side.
 
     Partition move to the center: (T/2)[ln 2t + ln 2(1-t)]; removal: free
@@ -75,18 +59,14 @@ def erasure_works(params: TwoBoxParams) -> StageWorkReport:
     removal = 0.0
     compression = -temp * np.log(t)
     total = move + removal + compression
-    return StageWorkReport(
-        stages={
-            "partition_move": float(move),
-            "partition_removal": removal,
-            "compression": float(compression),
-        },
-        erasure_total=float(total),
-        measurement_total=0.0,
-    )
+    return _stage_report({
+        "partition_move": float(move),
+        "partition_removal": removal,
+        "compression": float(compression),
+    }, float(total), 0.0)
 
 
-def measurement_works(params: TwoBoxParams) -> StageWorkReport:
+def measurement_works(params: TwoBoxParams) -> dict:
     """Conditional stage works of the quasi-static measurement.
 
     Outcome 0 leaves the memory unchanged.  Outcome 1 expands the left box to
@@ -99,16 +79,12 @@ def measurement_works(params: TwoBoxParams) -> StageWorkReport:
     compression = temp * np.log(1.0 / (1.0 - t))
     outcome_one = expansion + compression
     average = 0.5 * outcome_one
-    return StageWorkReport(
-        stages={
-            "outcome0": 0.0,
-            "outcome1_expansion": float(expansion),
-            "outcome1_compression": float(compression),
-            "outcome1_total": float(outcome_one),
-        },
-        erasure_total=0.0,
-        measurement_total=float(average),
-    )
+    return _stage_report({
+        "outcome0": 0.0,
+        "outcome1_expansion": float(expansion),
+        "outcome1_compression": float(compression),
+        "outcome1_total": float(outcome_one),
+    }, 0.0, float(average))
 
 
 def entropy_balance(params: TwoBoxParams) -> dict:
@@ -142,8 +118,8 @@ def sweep(t_grid, temperature=1.0) -> list[dict]:
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         params = TwoBoxParams(float(t), temperature=temp)
-        w_eras = erasure_works(params).erasure_total
-        w_meas = measurement_works(params).measurement_total
+        w_eras = erasure_works(params)["W_eras"]
+        w_meas = measurement_works(params)["W_meas"]
         df = delta_free_energy(params)
         h = info = np.log(2.0)
         rows.append({
@@ -169,11 +145,11 @@ def point_report(params: TwoBoxParams) -> dict:
         "t": params.t,
         "volume": params.volume,
         "temperature": params.temperature,
-        "erasure": eras.to_json(),
-        "measurement": meas.to_json(),
-        "W_eras": eras.erasure_total,
-        "W_meas": meas.measurement_total,
-        "sum": eras.erasure_total + meas.measurement_total,
+        "erasure": eras,
+        "measurement": meas,
+        "W_eras": eras["W_eras"],
+        "W_meas": meas["W_meas"],
+        "sum": eras["W_eras"] + meas["W_meas"],
         "dF": delta_free_energy(params),
         "entropy_balance": entropy_balance(params),
     }

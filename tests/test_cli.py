@@ -359,6 +359,35 @@ class TestLangevin:
             assert main(["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1",
                          "--config", str(config), "--out", str(tmp_path / "l.csv")]) == 2
 
+    @pytest.mark.parametrize("temperature", ["1e-300", "1e-30"])
+    def test_overflowing_basin_quadrature_exits_1(self, tmp_path, capsys, temperature):
+        # rounding puts V below its minimum at some nodes, so e^{-(V - V_min)/T}
+        # overflows and Z = inf; that once ran on to a summary with NaN
+        # free energies
+        out = tmp_path / "l.csv"
+        with np.errstate(over="ignore"):
+            code = main(["langevin", "--seed", "1", "--n-traj", "2", "--tau", "0.5",
+                         "--temperature", temperature, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "basin quadrature" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_summary_exits_1(self, tmp_path, capsys):
+        # a push tilt of 1e160 gives works near 1e156: finite, but their
+        # standard error overflows to inf, which the summary once wrote as a
+        # bare `inf`
+        out = tmp_path / "l.csv"
+        with np.errstate(over="ignore"):
+            code = main(["langevin", "--seed", "1", "--n-traj", "2", "--tau", "0.5",
+                         "--push-tilt", "1e160", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "l.json").exists()
+        text = out.read_text().lower()
+        assert "inf" not in text and "nan" not in text
+
     def test_negative_ratio_exits_2_without_warnings(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

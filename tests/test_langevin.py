@@ -1,4 +1,3 @@
-import itertools
 import json
 import re
 import sys
@@ -145,10 +144,10 @@ def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
 class EagerPool:
     """Stand-in for the kernel's one-thread pool, run on the calling thread.
 
-    The eager pool runs each fill inside `submit`, so the fill thread takes
-    every chunk; the lazy one runs it only when its result is read, after
-    the main thread has taken every chunk.  A fill submitted while an
-    earlier one is not yet joined fails the run.
+    The eager pool fills each block inside `submit`, as soon as the block
+    is handed over; the lazy one fills it only when its result is read, at
+    the join.  A fill submitted while an earlier one is not yet joined
+    fails the run.
     """
 
     eager = True
@@ -483,9 +482,8 @@ class TestSimulation:
             def nan_kick(noise, *args):
                 fill(noise, *args)
                 calls.append(args)
-                # the eager pool fills block b on call 2b + 1; the main
-                # thread's call 2b + 2 finds no chunk left
-                if len(calls) == 2 * block + 1:
+                # each block is filled by one call: block b by call b + 1
+                if len(calls) == block + 1:
                     noise[3, 5] = np.nan
 
             monkeypatch.setattr(langevin, "_fill_noise", nan_kick)
@@ -521,8 +519,8 @@ class TestSimulation:
             assert np.array_equal(ens.works, ref["works"])
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
-        # 128 trajectories are one chunk; 300 are three, shared between the
-        # fill thread and the main thread; chunk 0 must come out the same
+        # 128 trajectories are one chunk; 300 are three, filled one after
+        # another by the fill thread; chunk 0 must come out the same
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
         one = simulate_erasure(pot, sched, EnsembleParams(n_traj=128, seed=13))
@@ -532,9 +530,9 @@ class TestSimulation:
         assert np.array_equal(one.trajectory_seeds, three.trajectory_seeds[:128])
 
     def test_fill_independent_of_thread_count_and_switching(self, monkeypatch):
-        # the fill thread taking every chunk, the main thread taking every
-        # chunk, and the two racing under a very short switch interval must
-        # not change a bit: each chunk's stream writes only its own columns
+        # each block filled at its hand-over, filled at its join, and filled
+        # on the fill thread while the main thread steps, under a very short
+        # switch interval, must not change a bit
         pot = symmetric_double_well()
         sched = erasure_protocol_schedule(pot, 1.1)    # blocks of 512, 512, 76
         params = EnsembleParams(n_traj=700, seed=17)   # six chunks
@@ -553,6 +551,23 @@ class TestSimulation:
         for run in runs:
             assert np.array_equal(base.works, run.works)
             assert np.array_equal(base.final_positions, run.final_positions)
+
+    def test_fill_thread_fills_every_block_whole(self, monkeypatch):
+        # one fill call per block (512, 512 and 76 steps), none of them on
+        # the main thread
+        fill = langevin._fill_noise
+        threads = []
+
+        def record_thread(*args):
+            threads.append(threading.current_thread())
+            fill(*args)
+
+        monkeypatch.setattr(langevin, "_fill_noise", record_thread)
+        pot = symmetric_double_well()
+        simulate_erasure(pot, erasure_protocol_schedule(pot, 1.1),
+                         EnsembleParams(n_traj=300, seed=17))
+        assert len(threads) == 3
+        assert threading.main_thread() not in threads
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
         pot = symmetric_double_well()
@@ -634,7 +649,7 @@ class TestNoiseFill:
         gens = [np.random.Generator(np.random.SFC64(s))
                 for s in np.random.SeedSequence(seed).spawn(-(-n_traj // 128))]
         noise = np.full((count, n_traj), np.nan, dtype=np.float32)
-        _fill_noise(noise, gens, iter(range(len(gens))), count, self.kick)
+        _fill_noise(noise, gens, count, self.kick)
         return noise, gens
 
     def test_values_are_exactly_plus_minus_kick(self):
@@ -657,24 +672,21 @@ class TestNoiseFill:
         whole, _ = self.fill(93, n_traj, count=512)
         first, gens = self.fill(93, n_traj, count=256)
         second = np.empty_like(first)
-        _fill_noise(second, gens, iter(range(len(gens))), 256, self.kick)
+        _fill_noise(second, gens, 256, self.kick)
         assert np.array_equal(whole, np.vstack([first, second]))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 127, 128])
     def test_byte_table_matches_bit_reference(self, width):
-        # chunk 0 is full and chunk 1 has the width under test; the two
-        # chunks go to two callers that share one iterator, as the fill
-        # thread and the main thread do, so a width that is not a multiple
-        # of 8 takes the scratch copy beside chunk 0's direct write
+        # chunk 0 is full and chunk 1 has the width under test, filled in
+        # one call, so a width that is not a multiple of 8 takes the scratch
+        # copy beside chunk 0's direct write
         def streams():
             return [np.random.Generator(np.random.SFC64(s))
                     for s in np.random.SeedSequence(94).spawn(2)]
 
         for count in (1, 7, 256, 512):
             noise = np.full((count, 128 + width), np.nan, dtype=np.float32)
-            gens, chunks = streams(), iter(range(2))
-            _fill_noise(noise, gens, itertools.islice(chunks, 1), count, self.kick)
-            _fill_noise(noise, gens, chunks, count, self.kick)
+            _fill_noise(noise, streams(), count, self.kick)
             ref = np.hstack([two_point_noise(g, count, w, self.kick)
                              for g, w in zip(streams(), (128, width))])
             assert np.array_equal(noise, ref)

@@ -15,6 +15,21 @@ class TestFloatFormat:
         assert format_float(0.5) == "0.5"
         assert format_float(2.0) == "2"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_non_finite_refused_without_touching_the_file(self, tmp_path, value):
+        # JSON has no literal for NaN or an infinity; a refused write leaves
+        # an existing file as it was and creates no new one
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            format_float(value)
+        old = tmp_path / "old.json"
+        old.write_text("kept\n")
+        with pytest.raises(FloatingPointError):
+            write_json(old, {"ok": 1.0, "bad": [value]})
+        with pytest.raises(FloatingPointError):
+            write_csv(tmp_path / "new.csv", ("x",), [{"x": 0.5}, {"x": value}])
+        assert old.read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
+
 
 class TestJson:
     def test_sorted_keys_and_parseable(self):

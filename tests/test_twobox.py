@@ -30,50 +30,49 @@ class TestParams:
 class TestErasureWorks:
     def test_symmetric_is_landauer(self):
         report = erasure_works(TwoBoxParams(0.5))
-        assert report.erasure_total == pytest.approx(LN2, abs=1e-15)
+        assert report["W_eras"] == pytest.approx(LN2, abs=1e-15)
 
     def test_four_fifths_is_free(self):
         report = erasure_works(TwoBoxParams(0.8))
-        assert report.erasure_total == pytest.approx(0.0, abs=1e-15)
+        assert report["W_eras"] == pytest.approx(0.0, abs=1e-15)
 
     def test_two_thirds(self):
         report = erasure_works(TwoBoxParams(2 / 3))
-        assert report.erasure_total == pytest.approx(0.5 * LN2, abs=1e-15)
+        assert report["W_eras"] == pytest.approx(0.5 * LN2, abs=1e-15)
 
     def test_stage_sum(self):
         p = TwoBoxParams(0.37, temperature=1.7)
         report = erasure_works(p)
-        assert sum(report.stages.values()) == pytest.approx(report.erasure_total,
-                                                            abs=1e-14)
-        assert report.stages["partition_removal"] == 0.0
+        assert sum(report["stages"].values()) == pytest.approx(report["W_eras"], abs=1e-14)
+        assert report["stages"]["partition_removal"] == 0.0
 
     def test_closed_form(self):
         for t in np.linspace(0.05, 0.95, 19):
             report = erasure_works(TwoBoxParams(float(t), temperature=2.0))
             expected = 2.0 * LN2 - 1.0 * np.log(t / (1 - t))
-            assert report.erasure_total == pytest.approx(expected, abs=1e-12)
+            assert report["W_eras"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestMeasurementWorks:
     def test_symmetric_costs_nothing(self):
         report = measurement_works(TwoBoxParams(0.5))
-        assert report.measurement_total == pytest.approx(0.0, abs=1e-15)
+        assert report["W_meas"] == pytest.approx(0.0, abs=1e-15)
 
     def test_four_fifths(self):
         report = measurement_works(TwoBoxParams(0.8))
-        assert report.measurement_total == pytest.approx(LN2, abs=1e-12)
+        assert report["W_meas"] == pytest.approx(LN2, abs=1e-12)
 
     def test_outcome_one_stage_split(self):
         p = TwoBoxParams(0.8)
-        report = measurement_works(p)
-        assert report.stages["outcome1_total"] == pytest.approx(np.log(4.0), abs=1e-12)
-        assert report.stages["outcome1_expansion"] == pytest.approx(np.log(0.8), abs=1e-12)
-        assert report.stages["outcome0"] == 0.0
+        stages = measurement_works(p)["stages"]
+        assert stages["outcome1_total"] == pytest.approx(np.log(4.0), abs=1e-12)
+        assert stages["outcome1_expansion"] == pytest.approx(np.log(0.8), abs=1e-12)
+        assert stages["outcome0"] == 0.0
 
     def test_total_work_constant(self):
         for t in np.linspace(0.1, 0.9, 17):
             p = TwoBoxParams(float(t))
-            total = erasure_works(p).erasure_total + measurement_works(p).measurement_total
+            total = erasure_works(p)["W_eras"] + measurement_works(p)["W_meas"]
             assert total == pytest.approx(LN2, abs=1e-12)
 
 
@@ -107,26 +106,26 @@ class TestSaturationAndSymmetry:
             df = delta_free_energy(p)
             layout_df = free_energy_change(twobox_layout(t, 1.0), 1.0, [0.5, 0.5])
             assert df == pytest.approx(layout_df, abs=1e-12)
-            assert erasure_works(p).erasure_total == pytest.approx(LN2 - df, abs=1e-12)
-            assert measurement_works(p).measurement_total == pytest.approx(df, abs=1e-12)
+            assert erasure_works(p)["W_eras"] == pytest.approx(LN2 - df, abs=1e-12)
+            assert measurement_works(p)["W_meas"] == pytest.approx(df, abs=1e-12)
 
     def test_reflection_symmetry(self):
         for t in (0.2, 0.35, 0.45):
-            w1 = erasure_works(TwoBoxParams(t)).erasure_total
-            w2 = erasure_works(TwoBoxParams(1 - t)).erasure_total
+            w1 = erasure_works(TwoBoxParams(t))["W_eras"]
+            w2 = erasure_works(TwoBoxParams(1 - t))["W_eras"]
             assert w1 + w2 == pytest.approx(2 * LN2, abs=1e-12)
-            m1 = measurement_works(TwoBoxParams(t)).measurement_total
-            m2 = measurement_works(TwoBoxParams(1 - t)).measurement_total
+            m1 = measurement_works(TwoBoxParams(t))["W_meas"]
+            m2 = measurement_works(TwoBoxParams(1 - t))["W_meas"]
             assert m1 == pytest.approx(-m2, abs=1e-12)
 
     def test_erasure_work_strictly_decreasing(self):
         grid = np.linspace(0.05, 0.95, 50)
-        works = [erasure_works(TwoBoxParams(float(t))).erasure_total for t in grid]
+        works = [erasure_works(TwoBoxParams(float(t)))["W_eras"] for t in grid]
         assert all(a > b for a, b in zip(works, works[1:]))
 
     def test_zero_cost_root_is_four_fifths(self):
         root = optimize.brentq(
-            lambda t: erasure_works(TwoBoxParams(t)).erasure_total, 0.55, 0.95,
+            lambda t: erasure_works(TwoBoxParams(t))["W_eras"], 0.55, 0.95,
             xtol=1e-14)
         assert root == pytest.approx(0.8, abs=1e-12)
 
