@@ -373,11 +373,6 @@ def cmd_langevin(config: dict) -> int:
     expected = reset_free_energy(eq, temp) if je_gated else 0.0
     jz = jarzynski_check(ensemble, expected)
 
-    columns = zip(ensemble.trajectory_seeds, ensemble.works, ensemble.final_basins)
-    rows = [{"trajectory_index": i, "seed": int(s), "W": float(w), "final_basin": int(b)}
-            for i, (s, w, b) in enumerate(columns)]
-    write_csv(config["out"], ("trajectory_index", "seed", "W", "final_basin"), rows)
-
     summary = _provenance(config) | {
         "mean": ensemble.mean_work,
         "stderr": ensemble.stderr,
@@ -390,7 +385,13 @@ def cmd_langevin(config: dict) -> int:
         "jarzynski": jz.to_json(),
         "jarzynski_gated": je_gated,
     }
+    # the summary goes first: a finite mean has only finite works behind it,
+    # so once the summary is written the CSV cannot be refused
     write_json(summary_path, summary)
+    columns = zip(ensemble.trajectory_seeds, ensemble.works, ensemble.final_basins)
+    rows = [{"trajectory_index": i, "seed": int(s), "W": float(w), "final_basin": int(b)}
+            for i, (s, w, b) in enumerate(columns)]
+    write_csv(config["out"], ("trajectory_index", "seed", "W", "final_basin"), rows)
 
     failed = (completed and landauer_margin < -3.0 * ensemble.stderr) or (
         je_gated and jz.flagged)

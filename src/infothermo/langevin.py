@@ -369,7 +369,9 @@ class TrajectoryEnsemble:
     def stderr(self) -> float:
         if self.works.size < 2:
             return 0.0
-        return float(self.works.std(ddof=1) / np.sqrt(self.works.size))
+        # works near 1e154 overflow the variance to inf, which no output prints
+        with np.errstate(over="ignore"):
+            return float(self.works.std(ddof=1) / np.sqrt(self.works.size))
 
     @property
     def success_fraction(self) -> float:
@@ -457,13 +459,12 @@ def _check_finite(x: np.ndarray, traj_seeds: np.ndarray, first: int, end: int):
             f"stream seed {traj_seeds[bad]}) diverged in steps [{first}, {end})")
 
 
-def _charge_segment(works: np.ndarray, sums: np.ndarray, rates, tmp: np.ndarray):
+def _charge_segment(works: np.ndarray, sums: np.ndarray, rates):
     """Add a segment's work, its rates times its running sums of x^4, x^2
     and x, to ``works`` and zero the sums; a zero rate adds nothing."""
     for rate, total in zip(rates, sums):
         if rate != 0.0:
-            np.multiply(total, rate, out=tmp)
-            works += tmp
+            works += total * rate
             total.fill(0.0)
 
 
@@ -502,41 +503,116 @@ def _may_leave_domain(rows: np.ndarray, dt: float, kick: float,
 
 def check_protocol(schedule: ProtocolSchedule, params: EnsembleParams):
     """Reject a protocol that starts or ends without a memory, whose dt is
-    unstable, or that takes more than MAX_STEPS steps."""
-    # compared before rounding: in Python floats a huge quotient is inf
+    unstable, or that takes no step or more than MAX_STEPS steps."""
+    # compared before rounding, since in Python floats a huge quotient is
+    # inf; round() takes a half to 0, so a run takes a step when steps > 0.5
     steps = float(schedule.duration) / float(params.dt)
-    if steps > MAX_STEPS:
-        raise ValueError(f"duration / dt = {steps:.3g} exceeds the cap of "
+    if not 0.5 < steps <= MAX_STEPS:
+        raise ValueError(f"duration / dt = {steps:.3g} must round to between 1 and "
                          f"{MAX_STEPS} steps")
     for knot in (schedule.knots[0], schedule.knots[-1]):
         require_barrier(PotentialSpec(tuple(knot)), params.temperature)
     check_timestep(schedule, params.dt)
 
 
+def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
+                dt: float, kick: np.float32, x_max: float) -> tuple[list, list]:
+    """The coefficients of the `count` steps from step j, from the schedule
+    at grid points j .. j + count.
+
+    `steps` holds each step's drift factors -4a dt, 1 + 2b dt and c dt, and
+    whether it may leave the domain (`_may_leave_domain`), as Python floats
+    and bools, cheaper to unpack than numpy scalars.  `step_rates` holds
+    each step's work rates: step i lies in segment s when T_s <= t_i and
+    t_{i+1} <= T_{s+1}, and takes the list rates[s], one object for all of
+    s and for the whole run, so a segment that crosses a block edge stays
+    open across it; a step that straddles a knot takes a fresh tuple of its
+    own increments of lambda(t) on the step grid.
+    """
+    grid = (j + np.arange(count + 1)) * dt
+    lam = schedule.coefficients_at(grid)
+    a, b, c = lam[:-1].T
+    steps = list(zip((-4.0 * a * dt).tolist(), (1.0 + 2.0 * b * dt).tolist(),
+                     (c * dt).tolist(),
+                     _may_leave_domain(lam[:-1], dt, float(kick), x_max).tolist()))
+    first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
+    last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
+    increments = (np.diff(lam, axis=0) * [1.0, -1.0, 1.0]).tolist()
+    step_rates = [rates[s] if s == e else tuple(d)
+                  for s, e, d in zip(first.tolist(), last.tolist(), increments)]
+    return steps, step_rates
+
+
+def _step_block(x, works, sums, noise, steps, step_rates, open_rates, x_max):
+    """Step x in place through one noise block; return the rates of the
+    segment left open and the number of positions the clamp moved.
+
+    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1, the
+    drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
+    [-x_max, x_max].  The clamp runs only on the steps `_block_plan` flags
+    where max x^2 >= x_max^2, which every step with a position outside the
+    domain meets, so the positions are those of clamping every step (the
+    drift map is increasing on the domain and the kick is exactly +-kick,
+    so an unflagged step cannot leave it; on the default erasure of the
+    a = 1, b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at ratio 4,
+    the reach is at most 2.8396 and no step is flagged).
+
+    A step inside one linear segment of the schedule adds x^4, x^2 or x to
+    the running `sums`, for each coefficient the segment varies; the sums
+    are charged to `works` at the segment's rates when a step takes other
+    rates than `open_rates`, so a segment that crosses the block's edge is
+    charged once, by a later block or by the caller.
+    """
+    x2 = x * x                             # the same product the last step left
+    tmp = np.empty_like(x)
+    sum4, sum2, sum1 = sums
+    clamp_hits = 0
+    # only an overflow is silenced: an x^2 that overflows belongs to a
+    # position past the domain's edge, which the guarded clamp moves and
+    # squares again
+    with np.errstate(over="ignore"):
+        for (quartic, linear, shift, guarded), kicks, r in zip(steps, noise, step_rates):
+            np.multiply(x2, quartic, out=tmp)
+            tmp += linear
+            x *= tmp                           # x + dt (2b x - 4a x^3), by Horner
+            if shift != 0.0:
+                x -= shift
+            x += kicks                         # already scaled by the kick
+            np.multiply(x, x, out=x2)          # for the work below and the next drift
+            # only a flagged step can leave the domain; every |x| > x_max has
+            # x^2 >= x_max^2 after rounding, so the clamp moves no position
+            # unless this trips; a NaN does not trip it
+            if guarded and np.maximum.reduce(x2) >= x_max * x_max:
+                clamp_hits += np.count_nonzero((x < -x_max) | (x > x_max))
+                np.maximum(x, -x_max, out=x)
+                np.minimum(x, x_max, out=x)
+                np.multiply(x, x, out=x2)
+            if r is not open_rates:
+                _charge_segment(works, sums, open_rates)
+                open_rates = r
+            r4, r2, r1 = r
+            if r4 != 0.0:
+                np.multiply(x2, x2, out=tmp)
+                sum4 += tmp
+            if r2 != 0.0:
+                sum2 += x2
+            if r1 != 0.0:
+                sum1 += x
+    return open_rates, clamp_hits
+
+
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
 
-    Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1 (see
-    below), the drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then
-    x clamped to [x_min, x_max].  Each block's set-up flags the steps that
-    could leave the domain (`_may_leave_domain`: the drift map is
-    increasing on the domain and the kick is exactly +-kick, so a step's
-    reach is known from its coefficients); on the default erasure of the
-    a = 1, b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at ratio 4,
-    the reach is at most 2.8396 and no step is flagged.  The clamp runs
-    only on flagged steps where max x^2 >= x_max^2, which every step with
-    a position outside the domain meets, so the positions are those of
-    clamping every step; `clamp_hits` counts the positions it moved.
-
+    Each step is Euler-Maruyama with the domain clamp (`_step_block`).
     Work is charged at parameter updates only, as the Stieltjes sum
     W = sum_j dV/dlambda(x_{j+1}) . (lambda_{j+1} - lambda_j), so a frozen
-    protocol yields exactly zero work on every trajectory.  A step inside
-    one linear segment [T_s, T_{s+1}] of the schedule adds x^4, x^2 or x
-    to a running sum, for each coefficient the segment varies; the sums
-    are charged at the segment's slope times dt when the segment ends.  A
-    step that straddles a knot is a one-step segment of its own, whose
-    rates are its increments of lambda(t) on the step grid.
+    protocol yields exactly zero work on every trajectory.  The sums of a
+    linear segment [T_s, T_{s+1}] of the schedule are charged at the
+    segment's slope times dt when the segment ends.  A step that straddles
+    a knot is a one-step segment of its own, whose rates are its increments
+    of lambda(t) on the step grid (`_block_plan`).
 
     Random numbers come in chunks of 128 trajectories: trajectory i belongs
     to chunk k = i // 128, whose stream is SFC64 seeded by
@@ -556,17 +632,18 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     width.  `trajectory_seeds[i]` is the first 64-bit word of chunk k's
     seed state, shared by its trajectories.
 
-    The noise comes in blocks of 512 steps held in two alternating buffers:
-    one fill thread fills block i + 1, every chunk of it, while the main
-    thread steps block i, and the main thread joins that fill before it
-    steps block i + 1.  The fill of block i + 2 starts only after that
-    join, into block i's buffer.  The coefficients are evaluated per block,
-    so memory does not grow with the step count (at most MAX_STEPS).  The
-    fill thread ends before this function returns or raises.
+    The steps go in blocks of 512, whose noise is held in two alternating
+    buffers.  For each block the main thread joins the fill of its buffer,
+    hands the next block to the one fill thread, which fills every chunk
+    of it into the other buffer, then plans the block (`_block_plan`),
+    steps it (`_step_block`) and checks its positions for a NaN
+    (`_check_finite`).  The coefficients are evaluated per block, so memory
+    does not grow with the step count (at most MAX_STEPS).  The fill
+    thread ends before this function returns or raises.
     """
     check_protocol(schedule, params)
-    t_bath = params.temperature
-    n_steps = int(round(schedule.duration / params.dt))
+    dt = params.dt
+    n_steps = int(round(schedule.duration / dt))
 
     n_chunks = -(-params.n_traj // _CHUNK)
     seqs = np.random.SeedSequence(params.seed).spawn(n_chunks)
@@ -575,103 +652,43 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                            dtype=np.uint64)
     traj_seeds = np.repeat(chunk_seeds, _CHUNK)[:params.n_traj]
 
-    x = _sample_initial_positions(pot, t_bath, params.initial_weights, generators,
-                                  params.n_traj)
+    x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
+                                  generators, params.n_traj)
     works = np.zeros(params.n_traj)
-    drift = params.dt
-    kick = np.float32(np.sqrt(2.0 * t_bath * params.dt))
-    buffers = [np.empty((_NOISE_BLOCK, params.n_traj), dtype=np.float32) for _ in range(2)]
-    x2 = np.empty_like(x)
-    tmp = np.empty_like(x)
+    kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
+    noise, spare = (np.empty((_NOISE_BLOCK, params.n_traj), np.float32) for _ in range(2))
     # the clamp guard compares x^2 with x_max^2, and the no-escape rule
     # bounds |x|, so the domain must be symmetric
     assert pot.x_min == -pot.x_max
-    edge2 = pot.x_max * pot.x_max
     clamp_hits = 0
     # the work per step in segment s per unit of x^4, x^2 and x: the slope
-    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x)
+    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x); built
+    # once per run, since `_step_block` tells segments apart by identity
     rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
-             * params.dt * [1.0, -1.0, 1.0]).tolist()
+             * dt * [1.0, -1.0, 1.0]).tolist()
     sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
-    sum4, sum2, sum1 = sums
     open_rates = ()                        # the rates of the segment whose sums are open
-    checked = 0                            # x was finite before step `checked`
-
-    def start_fill(pool, j):
-        """Hand the block that starts at step j to the fill thread."""
-        return pool.submit(_fill_noise, buffers[j // _NOISE_BLOCK % 2], generators,
-                           min(_NOISE_BLOCK, n_steps - j), kick)
-
-    np.multiply(x, x, out=x2)              # x2 holds x * x at the top of every step
     with ThreadPoolExecutor(1) as pool:
-        fill = start_fill(pool, 0) if n_steps else None
-        for j in range(n_steps):
-            offset = j % _NOISE_BLOCK
-            if offset == 0:
-                fill.result()
-                noise = buffers[j // _NOISE_BLOCK % 2]
-                count = min(_NOISE_BLOCK, n_steps - j)
-                # the next block goes to the other buffer, whose block was
-                # stepped in the last round, and draws each chunk's stream
-                # after this block has drawn it
-                if j + count < n_steps:
-                    fill = start_fill(pool, j + count)
-                # the block's coefficients at grid points j .. j + count; each
-                # step's drift factors -4a dt, 1 + 2b dt and c dt, and whether
-                # it may leave the domain, as Python floats and bools, cheaper
-                # to unpack than numpy scalars
-                grid = (j + np.arange(count + 1)) * params.dt
-                lam = schedule.coefficients_at(grid)
-                a, b, c = lam[:-1].T
-                steps = list(zip((-4.0 * a * drift).tolist(),
-                                 (1.0 + 2.0 * b * drift).tolist(),
-                                 (c * drift).tolist(),
-                                 _may_leave_domain(lam[:-1], drift, float(kick),
-                                                   pot.x_max).tolist()))
-                # step j lies in segment s when T_s <= t_j and t_{j+1} <= T_{s+1},
-                # and takes the list rates[s], one object for all of s; a step
-                # that straddles a knot takes a fresh tuple of its own increments
-                first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
-                last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
-                increments = (np.diff(lam, axis=0) * [1.0, -1.0, 1.0]).tolist()
-                step_rates = [rates[s] if s == e else tuple(d)
-                              for s, e, d in zip(first.tolist(), last.tolist(), increments)]
-                _check_finite(x, traj_seeds, checked, j)
-                checked = j
-            quartic, linear, shift, guarded = steps[offset]
-            np.multiply(x2, quartic, out=tmp)
-            tmp += linear
-            x *= tmp                           # x + dt (2b x - 4a x^3), by Horner
-            if shift != 0.0:
-                x -= shift
-            x += noise[offset]                 # already scaled by the kick
-            np.multiply(x, x, out=x2)          # for the work below and the next drift
-            # only a flagged step can leave the domain; every |x| > x_max has
-            # x^2 >= x_max^2 after rounding, so the clamp moves no position
-            # unless this trips; a NaN does not trip it
-            if guarded and np.maximum.reduce(x2) >= edge2:
-                clamp_hits += np.count_nonzero((x < pot.x_min) | (x > pot.x_max))
-                np.maximum(x, pot.x_min, out=x)
-                np.minimum(x, pot.x_max, out=x)
-                np.multiply(x, x, out=x2)
-            r = step_rates[offset]
-            if r is not open_rates:
-                _charge_segment(works, sums, open_rates, tmp)
-                open_rates = r
-            r4, r2, r1 = r
-            if r4 != 0.0:
-                np.multiply(x2, x2, out=tmp)
-                sum4 += tmp
-            if r2 != 0.0:
-                sum2 += x2
-            if r1 != 0.0:
-                sum1 += x
-    _charge_segment(works, sums, open_rates, tmp)
-    _check_finite(x, traj_seeds, checked, n_steps)
+        fill = pool.submit(_fill_noise, noise, generators, min(_NOISE_BLOCK, n_steps), kick)
+        for j in range(0, n_steps, _NOISE_BLOCK):
+            count = min(_NOISE_BLOCK, n_steps - j)
+            fill.result()
+            # the next block goes to the other buffer, whose block was
+            # stepped in the last round, and draws each chunk's stream
+            # after this block has drawn it
+            if j + count < n_steps:
+                fill = pool.submit(_fill_noise, spare, generators,
+                                   min(_NOISE_BLOCK, n_steps - j - count), kick)
+            steps, step_rates = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max)
+            open_rates, hits = _step_block(x, works, sums, noise[:count], steps,
+                                           step_rates, open_rates, pot.x_max)
+            clamp_hits += hits
+            _check_finite(x, traj_seeds, j, j + count)
+            noise, spare = spare, noise
+    _charge_segment(works, sums, open_rates)
 
-    final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
-    top_final = final.barrier_top()
-    basins = (x >= top_final).astype(int)
+    final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * dt)[0]))
+    basins = (x >= final.barrier_top()).astype(int)
     return TrajectoryEnsemble(
         params=params,
         works=works,
@@ -733,7 +750,8 @@ def jarzynski_check(ensemble: TrajectoryEnsemble, delta_f: float) -> JarzynskiRe
     for i in range(_BOOTSTRAP):
         idx = rng.integers(0, n, size=n)
         boots[i] = -t * _log_mean_exp(scaled[idx])
-    stderr = float(boots.std(ddof=1))
+    with np.errstate(over="ignore"):       # an infinite spread is refused on output
+        stderr = float(boots.std(ddof=1))
 
     weights = np.exp(scaled - scaled.max())
     ess = float(weights.sum() ** 2 / np.sum(weights ** 2))

@@ -16,6 +16,7 @@ from infothermo.langevin import (
     ProtocolSchedule,
     SingleWellError,
     UnstableTimestepError,
+    _block_plan,
     _fill_noise,
     _may_leave_domain,
     _sample_initial_positions,
@@ -39,14 +40,25 @@ def frozen_schedule(pot: PotentialSpec, duration: float) -> ProtocolSchedule:
     return ProtocolSchedule(duration, np.array([0.0, duration]), np.vstack([lam, lam]))
 
 
+def segment_rates(schedule: ProtocolSchedule, dt: float) -> list:
+    """Each segment's work rates per step, built as `simulate_erasure` does."""
+    return (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
+            * dt * [1.0, -1.0, 1.0]).tolist()
+
+
 def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
-    """Steps of a `simulate_erasure` run that `_may_leave_domain` flags, from
-    the kernel's own coefficient rows, kick and domain end."""
-    n_steps = int(round(schedule.duration / params.dt))
-    rows = schedule.coefficients_at(np.arange(n_steps) * params.dt)
+    """Steps of a `simulate_erasure` run that the kernel's own `_block_plan`
+    flags, block by block, with the kernel's kick and domain end."""
+    n_steps = round(schedule.duration / params.dt)
     kick = np.float32(np.sqrt(2.0 * params.temperature * params.dt))
-    flags = _may_leave_domain(rows, params.dt, float(kick), PotentialSpec.x_max)
-    return int(np.count_nonzero(flags))
+    rates = segment_rates(schedule, params.dt)
+    block = langevin._NOISE_BLOCK
+    flagged = 0
+    for j in range(0, n_steps, block):
+        steps, _ = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
+                               kick, PotentialSpec.x_max)
+        flagged += sum(guarded for *_, guarded in steps)
+    return flagged
 
 
 def quad_basin_weights(pot: PotentialSpec) -> tuple:
@@ -577,8 +589,8 @@ class TestSimulation:
         simulate_erasure(pot, sched, params)
         assert threading.active_count() == before
 
-        # the second check runs after block 1 is joined and block 2's fill
-        # has started, so the error leaves a fill in flight
+        # the second check runs after block 1 is stepped, while block 2's
+        # fill is in flight, so the error leaves that fill running
         calls = []
 
         def fail_on_second_call(x, traj_seeds, first, end):
@@ -591,6 +603,28 @@ class TestSimulation:
             simulate_erasure(pot, sched, params)
         assert len(calls) == 2
         assert threading.active_count() == before
+
+    def test_segment_keeps_its_rates_across_a_block_edge(self):
+        # steps 511 and 512, the last of block 0 and the first of block 1,
+        # lie in one segment of the ratio-4 erasure at tau = 1.5; both plans
+        # must give it the run's one rates list, or `_step_block` would
+        # charge the segment at the block edge and change the rounding
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        sched = erasure_protocol_schedule(pot, 1.5)
+        kick = np.float32(np.sqrt(2.0e-3))
+        rates = segment_rates(sched, 1e-3)
+        plan0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max)
+        plan1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max)
+        assert plan0[1][-1] is plan1[1][0]
+        assert plan0[1][-1] is rates[np.searchsorted(sched.times, 0.512) - 1]
+
+    @pytest.mark.parametrize("duration", [4e-4, 5e-4])
+    def test_protocol_under_half_a_step_rejected(self, duration):
+        # round() takes duration / dt = 0.5 to 0 steps as well
+        pot = symmetric_double_well()
+        with pytest.raises(ValueError, match="must round to between 1 and"):
+            simulate_erasure(pot, frozen_schedule(pot, duration),
+                             EnsembleParams(n_traj=8, seed=0))
 
     def test_seed_changes_results(self):
         pot = symmetric_double_well()
