@@ -26,9 +26,6 @@ from .memory import (
 )
 from .operators import (
     DensityOperator,
-    HermitianOperator,
-    canonical_state,
-    partial_trace,
     von_neumann_entropy,
 )
 from .protocols import (
@@ -63,7 +60,6 @@ __all__ = [
     "BoundReport",
     "DensityOperator",
     "EnsembleParams",
-    "HermitianOperator",
     "MeasurementModel",
     "MemoryLayout",
     "OutcomeStatistics",
@@ -74,7 +70,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "TwoBoxParams",
     "basin_free_energies",
-    "canonical_state",
     "classical_decompose",
     "entropy_balance",
     "erasure_schedule",
@@ -83,7 +78,6 @@ __all__ = [
     "jarzynski_check",
     "measurement_works",
     "outcome_statistics",
-    "partial_trace",
     "qc_mutual_information",
     "reconcile_demon",
     "run_erasure_protocol",

@@ -209,7 +209,8 @@ MAX_GRID_POINTS = 100_000
 MAX_PROTOCOL_STEPS = 100_000
 # duration of the default erasure protocol; a --schedule file sets its own
 DEFAULT_TAU = 750.0
-# the langevin noise block holds 1024 float32 kicks per trajectory: 0.4 GB here
+# two 512-step langevin noise buffers hold 1024 float32 kicks per trajectory,
+# 0.4 GB here
 MAX_TRAJECTORIES = 100_000
 
 

@@ -138,7 +138,8 @@ def _gauss_legendre(pot: PotentialSpec, lo: float, hi: float, v_min: float,
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-    return float(np.sum(half * weights * np.exp(-(pot.value(x) - v_min) / temperature)))
+    with np.errstate(over="ignore"):  # an infinite Z is refused by the caller
+        return float(np.sum(half * weights * np.exp(-(pot.value(x) - v_min) / temperature)))
 
 
 def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
@@ -270,15 +271,6 @@ class ProtocolSchedule:
         for j in range(3):
             out[:, j] = np.interp(t, self.times, self.knots[:, j])
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "duration": self.duration,
-            "knots": [
-                {"time": float(t), "coefficients": [float(v) for v in row]}
-                for t, row in zip(self.times, self.knots)
-            ],
-        }
 
 
 def schedule_from_json(payload: dict) -> ProtocolSchedule:

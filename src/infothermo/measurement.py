@@ -110,34 +110,6 @@ class MeasurementModel:
         return len(self.operators)
 
 
-def random_model(rng: np.random.Generator, dim: int, n_outcomes: int,
-                 ops_per_outcome: int = 1) -> MeasurementModel:
-    """Random POVM, optionally split into several operators per outcome."""
-    raw = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    groups = []
-    for a in raw:
-        effect = inv_sqrt @ a @ inv_sqrt
-        root = _hermitian_sqrt(effect)
-        if ops_per_outcome == 1:
-            groups.append((root,))
-            continue
-        shares = rng.dirichlet(np.ones(ops_per_outcome))
-        ops = []
-        for c in shares:
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            q, r = np.linalg.qr(g)
-            u = q * (np.diag(r) / np.abs(np.diag(r)))
-            ops.append(np.sqrt(c) * u @ root)
-        groups.append(tuple(ops))
-    return MeasurementModel(tuple(groups))
-
-
 def random_classical_model(rng: np.random.Generator, dim: int,
                            n_outcomes: int) -> MeasurementModel:
     """Random diagonal POVM: per basis state, a random response distribution."""
@@ -151,42 +123,33 @@ def random_classical_model(rng: np.random.Generator, dim: int,
 class OutcomeStatistics:
     """Outcome probabilities and unnormalized conditional states of a measurement.
 
-    sigma[k] = sqrt(E_k) rho sqrt(E_k) carries trace p_k; sub_probabilities[k][i]
-    is the probability routed through operator i of outcome k.
+    sigma[k] = sqrt(E_k) rho sqrt(E_k) carries trace p_k.
     """
 
     probabilities: np.ndarray
-    sub_probabilities: tuple[np.ndarray, ...]
     sigma: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         if abs(p.sum() - 1.0) > POLICY.povm:
             raise ValueError(f"outcome probabilities sum to {p.sum()!r}")
-        for k, (pk, sub) in enumerate(zip(p, self.sub_probabilities)):
-            if abs(pk - sub.sum()) > POLICY.validation:
-                raise ValueError(f"outcome {k}: sub-probabilities sum {sub.sum()!r} != {pk!r}")
+        for k, pk in enumerate(p):
             tr = np.trace(self.sigma[k]).real
             if abs(tr - pk) > POLICY.povm:
                 raise ValueError(f"outcome {k}: tr(sigma) {tr!r} != p {pk!r}")
 
 
 def outcome_statistics(rho: DensityOperator, model: MeasurementModel) -> OutcomeStatistics:
-    """Probabilities p_k, per-operator p_ki and conditional sigma_k for rho."""
+    """Probabilities p_k and conditional sigma_k for rho."""
     if rho.dim != model.dim:
         raise ValueError("state and measurement dimensions differ")
     probs = []
-    subs = []
     sigmas = []
-    for ops, effect in zip(model.operators, model.effects):
+    for effect in model.effects:
         root = _hermitian_sqrt(effect)
-        sigma = root @ rho.entries @ root
-        sub = np.array([np.trace(m.conj().T @ m @ rho.entries).real for m in ops])
-        pk = np.trace(effect @ rho.entries).real
-        probs.append(max(pk, 0.0))
-        subs.append(np.clip(sub, 0.0, None))
-        sigmas.append(sigma)
-    return OutcomeStatistics(np.array(probs), tuple(subs), tuple(sigmas))
+        sigmas.append(root @ rho.entries @ root)
+        probs.append(max(np.trace(effect @ rho.entries).real, 0.0))
+    return OutcomeStatistics(np.array(probs), tuple(sigmas))
 
 
 def qc_mutual_information(rho: DensityOperator, model: MeasurementModel) -> float:

@@ -70,9 +70,10 @@ class MemoryLayout:
         return z, -t * np.log(z)
 
 
-def two_branch_layout(energy_gap: float, d0: int = 1, d1: int = 1) -> MemoryLayout:
-    """Two-outcome memory: branch 0 at zero energy, branch 1 shifted by energy_gap."""
-    return MemoryLayout((np.zeros(d0), np.full(d1, float(energy_gap))))
+def two_branch_layout(energy_gap: float) -> MemoryLayout:
+    """Two-outcome memory, one level per branch: branch 0 at zero energy,
+    branch 1 at energy_gap."""
+    return MemoryLayout((np.zeros(1), np.full(1, float(energy_gap))))
 
 
 def twobox_layout(t: float, temperature=1.0) -> MemoryLayout:

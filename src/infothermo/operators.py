@@ -1,9 +1,9 @@
-"""Finite-dimensional Hermitian operator algebra.
+"""Finite-dimensional quantum states.
 
-Hermitian and density operators with validated invariants, the von Neumann
-entropy, canonical (thermal) states, partial traces, and the reader of the
-JSON matrix wire format.  All entropies are in nats, energies in units of
-k_B*T unless an explicit temperature is supplied, and k_B = 1.
+Density operators with validated invariants, the von Neumann entropy, the
+bath temperature's validation, and the reader of the JSON matrix wire
+format.  All entropies are in nats, energies in units of k_B*T unless an
+explicit temperature is supplied, and k_B = 1.
 """
 
 from __future__ import annotations
@@ -27,36 +27,6 @@ def temperature_value(temperature) -> float:
     return t
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A dim x dim complex Hermitian matrix (observable or Hamiltonian)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square_complex(self.entries)
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > POLICY.validation:
-            raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-        m = (m + m.conj().T) / 2
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigvalsh(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """A valid quantum state: Hermitian, positive semidefinite, unit trace."""
@@ -65,7 +35,9 @@ class DensityOperator:
     _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square_complex(self.entries)
+        m = np.asarray(self.entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         dev = np.max(np.abs(m - m.conj().T))
         if dev > POLICY.validation:
             raise ValueError(f"state is not Hermitian: max deviation {dev:.3e}")
@@ -112,46 +84,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def entropy_of_matrix(sigma: np.ndarray) -> float:
     """Entropy -sum(lam ln lam) of an (unnormalized) PSD Hermitian matrix."""
     return _entropy_from_eigenvalues(np.linalg.eigvalsh(sigma))
-
-
-def canonical_state(hamiltonian: HermitianOperator, temperature) -> tuple[DensityOperator, float]:
-    """Thermal state exp(-H/T)/Z and the Helmholtz free energy -T ln Z.
-
-    The minimum eigenvalue is subtracted before exponentiating (overflow
-    guard) and restored inside the returned free energy.
-    """
-    t = temperature_value(temperature)
-    vals, vecs = np.linalg.eigh(hamiltonian.entries)
-    shift = vals.min()
-    weights = np.exp(-(vals - shift) / t)
-    z_shifted = weights.sum()
-    populations = weights / z_shifted
-    state = (vecs * populations) @ vecs.conj().T
-    free_energy = shift - t * np.log(z_shifted)
-    return DensityOperator(state), float(free_energy)
-
-
-def partial_trace(rho_ab: DensityOperator, trace_out: int, dims: tuple[int, int]) -> DensityOperator:
-    """Trace out one tensor factor of a bipartite state.
-
-    Parameters
-    ----------
-    trace_out:
-        Which factor to remove: 0 for the first, 1 for the second.
-    dims:
-        (dim_first, dim_second); their product must equal the state dimension.
-    """
-    da, db = dims
-    if da * db != rho_ab.dim:
-        raise ValueError(f"dims {dims} inconsistent with total dimension {rho_ab.dim}")
-    blocks = rho_ab.entries.reshape(da, db, da, db)
-    if trace_out == 1:
-        reduced = np.einsum("ijkj->ik", blocks)
-    elif trace_out == 0:
-        reduced = np.einsum("ijil->jl", blocks)
-    else:
-        raise ValueError("trace_out must be 0 or 1")
-    return DensityOperator(reduced)
 
 
 # ---------------------------------------------------------------------------

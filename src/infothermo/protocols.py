@@ -47,11 +47,13 @@ WITHIN = "within"
 ACROSS = "across"
 
 
-class NotAnErasureError(ValueError):
+# the engine's own check failures: an ArithmeticError is a failed check
+# (CLI exit 1), never bad input
+class NotAnErasureError(ArithmeticError):
     """Schedule left more than the allowed residual outside the standard branch."""
 
 
-class InvalidScheduleError(ValueError):
+class InvalidScheduleError(ArithmeticError):
     """Conditional schedule does not realize the requested branch state."""
 
 

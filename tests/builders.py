@@ -1,16 +1,18 @@
 """Inputs and oracles that only the tests use.
 
-Seeded random states, unitaries and permutations; diagonal states; the
-projective and the outcome-independent measurement; the writers of the JSON
-matrix and measurement-model wire formats, whose readers are
-`infothermo.operators.matrix_from_json` and
-`infothermo.measurement.model_from_json`; and the classical mutual
+Seeded random states, unitaries, permutations and measurement models;
+diagonal states; the projective and the outcome-independent measurement;
+the writers of the JSON matrix, measurement-model and protocol-schedule wire
+formats, whose readers are `infothermo.operators.matrix_from_json`,
+`infothermo.measurement.model_from_json` and
+`infothermo.langevin.schedule_from_json`; and the classical mutual
 information, an oracle for `qc_mutual_information` on diagonal instances.
 """
 
 import numpy as np
 
-from infothermo.measurement import InvalidMeasurementError, MeasurementModel
+from infothermo.langevin import ProtocolSchedule
+from infothermo.measurement import InvalidMeasurementError, MeasurementModel, _hermitian_sqrt
 from infothermo.numerics import POLICY
 from infothermo.operators import DensityOperator
 
@@ -48,6 +50,34 @@ def random_instance(seed: int, dim: int, kind: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def random_model(rng: np.random.Generator, dim: int, n_outcomes: int,
+                 ops_per_outcome: int = 1) -> MeasurementModel:
+    """Random POVM, optionally split into several operators per outcome."""
+    raw = []
+    for _ in range(n_outcomes):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raw.append(g @ g.conj().T)
+    total = sum(raw)
+    vals, vecs = np.linalg.eigh(total)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    groups = []
+    for a in raw:
+        effect = inv_sqrt @ a @ inv_sqrt
+        root = _hermitian_sqrt(effect)
+        if ops_per_outcome == 1:
+            groups.append((root,))
+            continue
+        shares = rng.dirichlet(np.ones(ops_per_outcome))
+        ops = []
+        for c in shares:
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q, r = np.linalg.qr(g)
+            u = q * (np.diag(r) / np.abs(np.diag(r)))
+            ops.append(np.sqrt(c) * u @ root)
+        groups.append(tuple(ops))
+    return MeasurementModel(tuple(groups))
+
+
 def projective_model(dim: int) -> MeasurementModel:
     """Rank-1 projective measurement in the computational basis."""
     eye = np.eye(dim, dtype=complex)
@@ -80,6 +110,18 @@ def model_to_json(model: MeasurementModel) -> dict:
             {"k": k, "operators": [matrix_to_json(m) for m in ops]}
             for k, ops in enumerate(model.operators)
         ]
+    }
+
+
+def schedule_to_json(schedule: ProtocolSchedule) -> dict:
+    """A schedule in the wire format
+    {"duration": tau, "knots": [{"time": t, "coefficients": [a, b, c]}, ...]}."""
+    return {
+        "duration": schedule.duration,
+        "knots": [
+            {"time": float(t), "coefficients": [float(v) for v in row]}
+            for t, row in zip(schedule.times, schedule.knots)
+        ],
     }
 
 

@@ -26,7 +26,6 @@ from infothermo.measurement import (
     classical_decompose,
     outcome_statistics,
     qc_mutual_information,
-    random_model,
     shannon_entropy,
 )
 from infothermo.memory import two_branch_layout
@@ -38,7 +37,9 @@ from infothermo.protocols import (
 )
 from infothermo.twobox import sweep
 
-from builders import diagonal_state, projective_model, random_instance, trivial_model
+from builders import (
+    diagonal_state, projective_model, random_instance, random_model, trivial_model,
+)
 
 LN2 = np.log(2.0)
 

@@ -135,6 +135,19 @@ class TestVerifyBounds:
         assert "would overwrite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", ["0.05", "1e-3"])
+    def test_unparked_branch_at_low_temperature_exits_1(self, tmp_path, capsys, temperature):
+        # the random layouts' levels lie in [0, 2) at every T, but the cap that
+        # parks an empty branch is 50 T, so a transport schedule cannot empty
+        # the standard branch; that once ended in a traceback
+        code = main(["verify-bounds", "--seed", "0", "--instances", "2",
+                     "--temperature", temperature, "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify-bounds: check failed: conditional schedule")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_sum_violation_names_its_row(self, tmp_path, monkeypatch, capsys):
         suite = cli.measurement_bound_suite
 
@@ -364,14 +377,15 @@ class TestLangevin:
     def test_overflowing_basin_quadrature_exits_1(self, tmp_path, capsys, temperature):
         # rounding puts V below its minimum at some nodes, so e^{-(V - V_min)/T}
         # overflows and Z = inf; that once ran on to a summary with NaN
-        # free energies
+        # free energies.  The overflow raises no numpy warning (the test
+        # config makes one an error): the refused Z is the one message
         out = tmp_path / "l.csv"
-        with np.errstate(over="ignore"):
-            code = main(["langevin", "--seed", "1", "--n-traj", "2", "--tau", "0.5",
-                         "--temperature", temperature, "--out", str(out)])
+        code = main(["langevin", "--seed", "1", "--n-traj", "2", "--tau", "0.5",
+                     "--temperature", temperature, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "basin quadrature" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_summary_exits_1(self, tmp_path, capsys):

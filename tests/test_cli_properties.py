@@ -11,6 +11,7 @@ protocols no longer than 1.
 import contextlib
 import io
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -23,7 +24,7 @@ from infothermo.cli import main  # noqa: E402
 from builders import matrix_to_json, model_to_json, projective_model  # noqa: E402
 
 # candidate texts per option: (valid, invalid)
-TEMPERATURE = (["1", "0.5"], ["0", "-1", "nan", "inf", "-inf", "hot"])
+TEMPERATURE = (["1", "0.5", "0.05"], ["0", "-1", "nan", "inf", "-inf", "hot"])
 SEED = (["0", "7"], ["-1", "1.5", "x"])
 OUT = (["out.csv"], ["out.json", "missing/out.csv", ""])
 FORMAT = (["json", "csv"], ["xml"])
@@ -144,15 +145,20 @@ def invocations(draw):
 def test_every_input_exits_0_1_or_2(invocation):
     argv, payload = invocation
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        write_input_files()
-        with open("cfg.json", "w") as fh:
-            json.dump(payload, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main([*argv, "--config", "cfg.json"])
-            except SystemExit as exc:
-                code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            write_input_files()
+            with open("cfg.json", "w") as fh:
+                json.dump(payload, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main([*argv, "--config", "cfg.json"])
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
     event(f"{argv[0]} exit {code}")  # shown by pytest --hypothesis-show-statistics
     assert code in (0, 1, 2), (argv, payload, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -31,6 +31,8 @@ from infothermo.langevin import (
     tune_tilt_for_ratio,
 )
 
+from builders import schedule_to_json
+
 LN2 = np.log(2.0)
 
 
@@ -415,7 +417,7 @@ class TestBasinFreeEnergies:
 class TestSchedule:
     def test_json_round_trip(self):
         sched = erasure_protocol_schedule(symmetric_double_well(), 12.0)
-        back = schedule_from_json(json.loads(json.dumps(sched.to_json())))
+        back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sched))))
         assert back.duration == sched.duration
         assert np.allclose(back.knots, sched.knots)
         assert np.allclose(back.times, sched.times)

@@ -10,7 +10,6 @@ from infothermo.measurement import (
     outcome_statistics,
     qc_mutual_information,
     random_classical_model,
-    random_model,
     shannon_entropy,
 )
 from infothermo.operators import DensityOperator
@@ -21,6 +20,7 @@ from builders import (
     model_to_json,
     projective_model,
     random_instance,
+    random_model,
     trivial_model,
 )
 
@@ -96,10 +96,11 @@ class TestOutcomeStatistics:
             rho = random_instance(seed, 3, "state")
             model = random_model(rng, 3, 3, ops_per_outcome=2)
             stats = outcome_statistics(rho, model)
-            for pk, sigma, sub in zip(stats.probabilities, stats.sigma,
-                                      stats.sub_probabilities):
+            for pk, sigma, ops in zip(stats.probabilities, stats.sigma, model.operators):
                 assert np.trace(sigma).real == pytest.approx(pk, abs=1e-9)
-                assert sub.sum() == pytest.approx(pk, abs=1e-10)
+                # p_k is the sum of the probabilities tr(M+ M rho) of its operators
+                sub = sum(np.trace(m.conj().T @ m @ rho.entries).real for m in ops)
+                assert sub == pytest.approx(pk, abs=1e-10)
 
 
 class TestQCMutualInformation:

@@ -3,10 +3,7 @@ import pytest
 
 from infothermo.operators import (
     DensityOperator,
-    HermitianOperator,
-    canonical_state,
     matrix_from_json,
-    partial_trace,
     temperature_value,
     von_neumann_entropy,
 )
@@ -19,7 +16,7 @@ LN2 = np.log(2.0)
 class TestValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -31,7 +28,7 @@ class TestValidation:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            HermitianOperator(np.zeros((2, 3)))
+            DensityOperator(np.zeros((2, 3)))
 
     def test_temperature_positive(self):
         with pytest.raises(ValueError):
@@ -62,54 +59,13 @@ class TestVonNeumannEntropy:
             assert 0.0 <= s <= np.log(4.0) + 1e-12
 
 
-class TestCanonicalState:
-    def test_degenerate_levels(self):
-        state, f = canonical_state(HermitianOperator(np.zeros((2, 2))), 1.0)
-        assert np.allclose(state.diagonal(), [0.5, 0.5], atol=1e-12)
-        assert f == pytest.approx(-LN2, abs=1e-12)
-
-    def test_two_level_gap(self):
-        h = HermitianOperator(np.diag([0.0, LN2]))
-        state, f = canonical_state(h, 1.0)
-        assert np.allclose(state.diagonal(), [2 / 3, 1 / 3], atol=1e-12)
-        assert f == pytest.approx(-np.log(1.5), abs=1e-12)
-
-    def test_high_temperature_limit(self):
-        h = HermitianOperator(np.diag([0.0, 1.0, 2.0]))
-        state, _ = canonical_state(h, 1e6)
-        assert np.allclose(state.diagonal(), np.full(3, 1 / 3), atol=1e-5)
-
-    def test_overflow_guard(self):
-        # huge gap would overflow exp without the shift
-        h = HermitianOperator(np.diag([-2000.0, 2000.0]))
-        state, f = canonical_state(h, 1.0)
-        assert np.isfinite(f)
-        assert state.diagonal()[0] == pytest.approx(1.0, abs=1e-12)
-        assert f == pytest.approx(-2000.0, abs=1e-9)
-
-
 class TestTensorAndPartialTrace:
-    def test_round_trip(self):
-        rho = random_instance(1, 2, "state")
-        sigma = random_instance(2, 3, "state")
-        joint = DensityOperator(np.kron(rho.entries, sigma.entries))
-        back = partial_trace(joint, trace_out=1, dims=(2, 3))
-        assert np.max(np.abs(back.entries - rho.entries)) < 1e-12
-        other = partial_trace(joint, trace_out=0, dims=(2, 3))
-        assert np.max(np.abs(other.entries - sigma.entries)) < 1e-12
-
     def test_entropy_additive_on_products(self):
         rho = random_instance(5, 2, "state")
         sigma = random_instance(6, 3, "state")
         s_joint = von_neumann_entropy(DensityOperator(np.kron(rho.entries, sigma.entries)))
         assert s_joint == pytest.approx(
             von_neumann_entropy(rho) + von_neumann_entropy(sigma), abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        joint = DensityOperator(np.kron(random_instance(1, 2, "state").entries,
-                                        random_instance(2, 2, "state").entries))
-        with pytest.raises(ValueError):
-            partial_trace(joint, trace_out=1, dims=(3, 2))
 
 
 class TestRandomInstance:

@@ -6,7 +6,9 @@ from infothermo.measurement import (
     MeasurementModel, outcome_statistics, qc_mutual_information, random_classical_model,
     shannon_entropy,
 )
-from infothermo.memory import free_energy_change, random_layout, two_branch_layout, twobox_layout
+from infothermo.memory import (
+    MemoryLayout, free_energy_change, random_layout, two_branch_layout, twobox_layout,
+)
 from infothermo.protocols import (
     ACROSS,
     WITHIN,
@@ -63,7 +65,7 @@ class TestEngineBasics:
         assert record.heat != 0.0
 
     def test_within_preserves_branch_weights(self):
-        layout = two_branch_layout(0.5, d0=2, d1=2)
+        layout = MemoryLayout((np.zeros(2), np.full(2, 0.5)))
         start = branch_canonical_distribution(layout, 1.0, [0.3, 0.7])
         record = run_schedule(layout, 1.0, start,
                               [Stage(np.array([0.0, 3.0, 0.5, 0.5]), WITHIN)])
@@ -203,7 +205,7 @@ class TestErasure:
     def test_general_layout_saturation(self):
         # bound is tight for arbitrary layouts and weights
         rng = np.random.default_rng(3)
-        layout = two_branch_layout(1.3, d0=2, d1=3)
+        layout = MemoryLayout((np.zeros(2), np.full(3, 1.3)))
         p = [0.35, 0.65]
         sched = erasure_schedule(layout, 1.0, p, 10_000)
         record, report = run_erasure_protocol(layout, 1.0, p, sched)
