@@ -12,7 +12,6 @@ the temperature defaults to 1; all works are reported in units of T.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -370,49 +369,68 @@ class TrajectoryEnsemble:
         return float((self.final_basins == 0).mean())
 
 
-_NOISE_BLOCK = 512  # rows of each of the two noise buffers
+_NOISE_BLOCK = 512  # steps drawn per block: a whole number of words per chunk
 _CHUNK = 128  # trajectories per random stream; part of the output's definition
+# float64 kicks per tile: 2^15 of them take 256 KiB, so the tile stays in a
+# core's L2 cache from its expansion until its rows are added, one a step
+_TILE = 2 ** 15
 
 
-def _chunk_columns(k: int, n_traj: int) -> slice:
-    """Trajectories of chunk k: columns [128 k, 128 k + 128), cut at n_traj."""
-    return slice(k * _CHUNK, min((k + 1) * _CHUNK, n_traj))
+def _kick_table(kick: np.float32) -> np.ndarray:
+    """The (256, 8) float64 table whose row v holds the kicks of byte v's
+    bits, most significant first: bit 0 gives +kick, bit 1 gives -kick,
+    each float64(+-kick) exactly."""
+    bits = np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1
+    return np.array([kick, -kick], dtype=np.float64)[bits]
 
 
-def _fill_noise(noise: np.ndarray, generators, count: int, kick: np.float32):
-    """Fill noise[:count] with two-point increments +-kick, chunk by chunk,
-    chunk k from its stream generators[k].
+def _draw_block(generators, count: int, n_traj: int,
+                table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the noise of `count` steps from every chunk's stream.
 
     Chunk k of width w draws ceil(count w / 64) 64-bit words from its own
     stream in one `random_raw` call.  Their bytes, in little-endian order,
     give count w bits, most significant bit first, read row-major as the
-    chunk's (count, w) block: bit 0 gives +kick, bit 1 gives -kick.  A
-    (256, 8) table holds in row v the kicks of byte v's eight bits, so one
-    `np.take` of the bytes writes eight increments per byte: straight into
-    the block when w is a multiple of 8, else into a scratch array whose
-    first count w values are copied.  A 512-step block takes exactly 8 w
-    words, so a trajectory's increments do not depend on the block length
-    or on any other chunk.
+    chunk's (count, w) block of increments; `table` maps each byte to its
+    eight kicks.  A 512-step block takes exactly 8 w words, so a
+    trajectory's increments do not depend on the block length or on any
+    other chunk.
+
+    Returns the full chunks' bits as a (count, 16 n_full) byte array, row i
+    holding step i's bytes in column order, and the kicks of a partial last
+    chunk, whose rows do not start on a byte, expanded at once into a
+    (count, w) float64 array ((count, 0) when every chunk is full).
     """
-    n_traj = noise.shape[1]
-    bits = np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1
-    table = np.array([kick, -kick], dtype=np.float32)[bits]
-    for k, generator in enumerate(generators):
-        cols = _chunk_columns(k, n_traj)
-        width = cols.stop - cols.start
-        n = count * width
-        words = generator.bit_generator.random_raw(-(-n // 64))
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        block = noise[:count, cols]
-        # writing in place skips the copy: a 512 x 10^4 block fills in about
-        # 7 ms, against 11 ms through the scratch array; splitting the
-        # block's unit-stride last axis gives a view, so `out` is the block
-        if width % 8 == 0:
-            np.take(table, octets[:n // 8].reshape(count, width // 8), axis=0,
-                    out=block.reshape(count, width // 8, 8), mode="clip")
-        else:
-            kicks = np.take(table, octets[:-(-n // 8)], axis=0, mode="clip")
-            block[...] = kicks.reshape(-1)[:n].reshape(count, width)
+    n_full = n_traj // _CHUNK
+    bits = np.empty((count, n_full, _CHUNK // 8), np.uint8)
+    for k in range(n_full):
+        words = generators[k].bit_generator.random_raw(2 * count)
+        bits[:, k] = words.astype("<u8", copy=False).view(np.uint8).reshape(count, -1)
+    width = n_traj - n_full * _CHUNK
+    if not width:
+        return bits.reshape(count, -1), np.empty((count, 0))
+    n = count * width
+    words = generators[n_full].bit_generator.random_raw(-(-n // 64))
+    octets = words.astype("<u8", copy=False).view(np.uint8)[:-(-n // 8)]
+    kicks = np.take(table, octets, axis=0, mode="clip")
+    return bits.reshape(count, -1), kicks.reshape(-1)[:n].reshape(count, width)
+
+
+def _kick_rows(table: np.ndarray, tile: np.ndarray, bits: np.ndarray,
+               partial: np.ndarray):
+    """Yield each step's kicks of a block drawn by `_draw_block`: the full
+    chunks' row, then the partial chunk's row.
+
+    The full chunks' bits are expanded through `table`, one `np.take` for
+    every tile's height of steps, into the reused float64 `tile`, whose
+    rows are yielded in turn: a row is valid until the next tile is
+    expanded.
+    """
+    for t in range(0, bits.shape[0], tile.shape[0]):
+        octets = bits[t:t + tile.shape[0]]
+        rows = tile[:octets.shape[0]]
+        np.take(table, octets, axis=0, out=rows.reshape(*octets.shape, 8), mode="clip")
+        yield from zip(rows, partial[t:t + tile.shape[0]])
 
 
 def _sample_initial_positions(pot: PotentialSpec, temperature: float,
@@ -421,23 +439,29 @@ def _sample_initial_positions(pot: PotentialSpec, temperature: float,
 
     Chunk k draws from its own stream its trajectories' basins, then rounds
     of candidate positions and acceptance variates for the trajectories
-    still pending, until all are accepted.
+    still pending, until all are accepted.  A round draws from every chunk
+    with a trajectory pending, each from its own stream with the calls of
+    a chunk taken alone, and accepts for all of them at once.
     """
     top = pot.barrier_top()
     lo = np.array([pot.x_min, top])
     hi = np.array([top, pot.x_max])
     floors = np.array([pot.value(np.linspace(l, h, 512)).min() for l, h in zip(lo, hi)])
     out = np.empty(n_traj)
-    for k, gen in enumerate(generators):
-        cols = _chunk_columns(k, n_traj)
-        pending = np.arange(cols.start, cols.stop)
-        basin = (gen.random(pending.size) >= weights[0]).astype(np.intp)
-        while pending.size:
-            x = gen.uniform(lo[basin], hi[basin])
-            accept = gen.random(pending.size) < np.exp(
-                -(pot.value(x) - floors[basin]) / temperature)
-            out[pending[accept]] = x[accept]
-            pending, basin = pending[~accept], basin[~accept]
+    pending = np.arange(n_traj)            # in chunk order, a chunk's columns together
+    widths = np.bincount(pending // _CHUNK)
+    basin = np.concatenate([gen.random(w) >= weights[0]
+                            for gen, w in zip(generators, widths)]).astype(np.intp)
+    while pending.size:
+        counts = np.bincount(pending // _CHUNK, minlength=len(generators))
+        live = np.flatnonzero(counts).tolist()
+        edges = np.cumsum(counts[live])[:-1]
+        x = np.concatenate([generators[k].uniform(low, high) for k, low, high in zip(
+            live, np.split(lo[basin], edges), np.split(hi[basin], edges))])
+        u = np.concatenate([generators[k].random(counts[k]) for k in live])
+        accept = u < np.exp(-(pot.value(x) - floors[basin]) / temperature)
+        out[pending[accept]] = x[accept]
+        pending, basin = pending[~accept], basin[~accept]
     return out
 
 
@@ -535,19 +559,23 @@ def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
     return steps, step_rates
 
 
-def _step_block(x, works, sums, noise, steps, step_rates, open_rates, x_max):
+def _step_block(x, works, sums, kicks, steps, step_rates, open_rates, x_max):
     """Step x in place through one noise block; return the rates of the
     segment left open and the number of positions the clamp moved.
 
     Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1, the
     drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
-    [-x_max, x_max].  The clamp runs only on the steps `_block_plan` flags
-    where max x^2 >= x_max^2, which every step with a position outside the
-    domain meets, so the positions are those of clamping every step (the
-    drift map is increasing on the domain and the kick is exactly +-kick,
-    so an unflagged step cannot leave it; on the default erasure of the
-    a = 1, b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at ratio 4,
-    the reach is at most 2.8396 and no step is flagged).
+    [-x_max, x_max].  `kicks` gives each step's float64 kicks (`_kick_rows`),
+    the full chunks' row added to their columns in place and a partial
+    chunk's row to the rest; adding float64(+-kick) is what adding the
+    float32 kick to x computes.  The clamp runs only on the steps
+    `_block_plan` flags where max x^2 >= x_max^2, which every step with a
+    position outside the domain meets, so the positions are those of
+    clamping every step (the drift map is increasing on the domain and the
+    kick is exactly +-kick, so an unflagged step cannot leave it; on the
+    default erasure of the a = 1, b = 6.5 well at T = 1 and dt = 1e-3,
+    symmetric or at ratio 4, the reach is at most 2.8396 and no step is
+    flagged).
 
     A step inside one linear segment of the schedule adds x^4, x^2 or x to
     the running `sums`, for each coefficient the segment varies; the sums
@@ -555,6 +583,8 @@ def _step_block(x, works, sums, noise, steps, step_rates, open_rates, x_max):
     rates than `open_rates`, so a segment that crosses the block's edge is
     charged once, by a later block or by the caller.
     """
+    full = x.size // _CHUNK * _CHUNK
+    head, tail = x[:full], x[full:]
     x2 = x * x                             # the same product the last step left
     tmp = np.empty_like(x)
     sum4, sum2, sum1 = sums
@@ -563,13 +593,16 @@ def _step_block(x, works, sums, noise, steps, step_rates, open_rates, x_max):
     # position past the domain's edge, which the guarded clamp moves and
     # squares again
     with np.errstate(over="ignore"):
-        for (quartic, linear, shift, guarded), kicks, r in zip(steps, noise, step_rates):
+        for (quartic, linear, shift, guarded), (row, tail_row), r in zip(steps, kicks,
+                                                                         step_rates):
             np.multiply(x2, quartic, out=tmp)
             tmp += linear
             x *= tmp                           # x + dt (2b x - 4a x^3), by Horner
             if shift != 0.0:
                 x -= shift
-            x += kicks                         # already scaled by the kick
+            head += row                        # already scaled by the kick
+            if tail.size:
+                tail += tail_row
             np.multiply(x, x, out=x2)          # for the work below and the next drift
             # only a flagged step can leave the domain; every |x| > x_max has
             # x^2 >= x_max^2 after rounding, so the clamp moves no position
@@ -611,11 +644,10 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     SeedSequence(seed, spawn_key=(k,)), the k-th child of
     SeedSequence(seed).spawn.  That stream draws, in order, the chunk's
     initial basins and rejection rounds (`_sample_initial_positions`), then
-    its noise as raw 64-bit words, one bit per increment: `_fill_noise`
+    its noise as raw 64-bit words, one bit per increment: `_draw_block`
     reads each block's bits row-major, step by step and column by column
-    within the chunk, and turns bit 0 into +kick and bit 1 into -kick, with
-    kick = sqrt(2 T dt) in float32, eight at a time through a 256-row table
-    of each byte's kicks.  This two-point law, xi = +-1 with
+    within the chunk, and bit 0 gives +kick and bit 1 gives -kick, with
+    kick = sqrt(2 T dt) in float32.  This two-point law, xi = +-1 with
     probability 1/2 each, is the simplified weak Euler scheme (Kloeden &
     Platen, Numerical Solution of SDEs, 14.1): xi has a unit normal's
     first three moments, and ensemble averages keep weak order 1.  A full
@@ -624,14 +656,15 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     width.  `trajectory_seeds[i]` is the first 64-bit word of chunk k's
     seed state, shared by its trajectories.
 
-    The steps go in blocks of 512, whose noise is held in two alternating
-    buffers.  For each block the main thread joins the fill of its buffer,
-    hands the next block to the one fill thread, which fills every chunk
-    of it into the other buffer, then plans the block (`_block_plan`),
-    steps it (`_step_block`) and checks its positions for a NaN
-    (`_check_finite`).  The coefficients are evaluated per block, so memory
-    does not grow with the step count (at most MAX_STEPS).  The fill
-    thread ends before this function returns or raises.
+    The steps go in blocks of 512, all on the calling thread; no other
+    thread is started.  For each block it draws every chunk's bits
+    (`_draw_block`, 64 bytes a trajectory), plans the block
+    (`_block_plan`), steps it (`_step_block`), expanding the full chunks'
+    bits a tile at a time through a 256-row table of each byte's kicks into
+    one reused float64 tile of about 2^15 kicks (`_kick_rows`), and checks
+    its positions for a NaN (`_check_finite`).  The coefficients are
+    evaluated per block, so memory does not grow with the step count (at
+    most MAX_STEPS).
     """
     check_protocol(schedule, params)
     dt = params.dt
@@ -648,7 +681,11 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                                   generators, params.n_traj)
     works = np.zeros(params.n_traj)
     kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
-    noise, spare = (np.empty((_NOISE_BLOCK, params.n_traj), np.float32) for _ in range(2))
+    table = _kick_table(kick)
+    # the full chunks' columns, in rows of about _TILE kicks: 128 rows at 256
+    # trajectories, 3 at 10^4, and one row past 2^15 columns
+    full = params.n_traj // _CHUNK * _CHUNK
+    tile = np.empty((max(1, _TILE // max(full, _CHUNK)), full))
     # the clamp guard compares x^2 with x_max^2, and the no-escape rule
     # bounds |x|, so the domain must be symmetric
     assert pot.x_min == -pot.x_max
@@ -660,23 +697,14 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
              * dt * [1.0, -1.0, 1.0]).tolist()
     sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
     open_rates = ()                        # the rates of the segment whose sums are open
-    with ThreadPoolExecutor(1) as pool:
-        fill = pool.submit(_fill_noise, noise, generators, min(_NOISE_BLOCK, n_steps), kick)
-        for j in range(0, n_steps, _NOISE_BLOCK):
-            count = min(_NOISE_BLOCK, n_steps - j)
-            fill.result()
-            # the next block goes to the other buffer, whose block was
-            # stepped in the last round, and draws each chunk's stream
-            # after this block has drawn it
-            if j + count < n_steps:
-                fill = pool.submit(_fill_noise, spare, generators,
-                                   min(_NOISE_BLOCK, n_steps - j - count), kick)
-            steps, step_rates = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max)
-            open_rates, hits = _step_block(x, works, sums, noise[:count], steps,
-                                           step_rates, open_rates, pot.x_max)
-            clamp_hits += hits
-            _check_finite(x, traj_seeds, j, j + count)
-            noise, spare = spare, noise
+    for j in range(0, n_steps, _NOISE_BLOCK):
+        count = min(_NOISE_BLOCK, n_steps - j)
+        bits, partial = _draw_block(generators, count, params.n_traj, table)
+        steps, step_rates = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max)
+        open_rates, hits = _step_block(x, works, sums, _kick_rows(table, tile, bits, partial),
+                                       steps, step_rates, open_rates, pot.x_max)
+        clamp_hits += hits
+        _check_finite(x, traj_seeds, j, j + count)
     _charge_segment(works, sums, open_rates)
 
     final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * dt)[0]))

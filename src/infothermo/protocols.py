@@ -19,6 +19,7 @@ residual, which may be at most EPS_RESIDUAL.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,17 @@ class NotAnErasureError(ArithmeticError):
 
 class InvalidScheduleError(ArithmeticError):
     """Conditional schedule does not realize the requested branch state."""
+
+
+@contextmanager
+def _replay_label(suite: str, seed: int, index: int):
+    """Name the suite instance a failed check came from, as `<suite>
+    seed=<s> index=<i>` after its message; the exception keeps its class."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        exc.args = (f"{exc} ({suite} seed={seed} index={index})",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -409,15 +421,16 @@ def erasure_bound_suite(seed: int, n_instances: int, n_steps: int = None,
     """Randomized erasure-bound margins; each instance replayable by (seed, index)."""
     results = []
     for i in range(n_instances):
-        rng = np.random.default_rng([seed, i])
-        layout = random_layout(rng)
-        p = _random_weights(rng, layout.outcome_count)
-        if fuzz:
-            sched = fuzzed_erasure_schedule(rng, layout, temperature, p)
-        else:
-            n = int(rng.choice([2, 10, 100])) if n_steps is None else n_steps
-            sched = erasure_schedule(layout, temperature, p, n)
-        record, report = run_erasure_protocol(layout, temperature, p, sched)
+        with _replay_label("fuzz" if fuzz else "erasure", seed, i):
+            rng = np.random.default_rng([seed, i])
+            layout = random_layout(rng)
+            p = _random_weights(rng, layout.outcome_count)
+            if fuzz:
+                sched = fuzzed_erasure_schedule(rng, layout, temperature, p)
+            else:
+                n = int(rng.choice([2, 10, 100])) if n_steps is None else n_steps
+                sched = erasure_schedule(layout, temperature, p, n)
+            record, report = run_erasure_protocol(layout, temperature, p, sched)
         results.append({
             "index": i,
             "seed": seed,
@@ -436,18 +449,20 @@ def measurement_bound_suite(seed: int, n_instances: int, n_steps: int = None,
 
     results = []
     for i in range(n_instances):
-        rng = np.random.default_rng([seed, i])
-        layout = random_layout(rng)
-        dim_s = int(rng.integers(2, 5))
-        model = random_classical_model(rng, dim_s, layout.outcome_count)
-        rho_s = DensityOperator(np.diag(_random_weights(rng, dim_s)).astype(complex))
-        n = int(rng.choice([2, 10, 100])) if n_steps is None else n_steps
-        meas_record, meas_report, info = run_measurement_process(
-            layout, temperature, model, rho_s, n_steps=n)
-        p = meas_record.branch_weights("final")
-        eras_sched = erasure_schedule(layout, temperature, p, n)
-        eras_record, eras_report = run_erasure_protocol(layout, temperature, p, eras_sched)
-        sum_report = verify_sum_bound(meas_record, eras_record, info, temperature)
+        with _replay_label("measurement", seed, i):
+            rng = np.random.default_rng([seed, i])
+            layout = random_layout(rng)
+            dim_s = int(rng.integers(2, 5))
+            model = random_classical_model(rng, dim_s, layout.outcome_count)
+            rho_s = DensityOperator(np.diag(_random_weights(rng, dim_s)).astype(complex))
+            n = int(rng.choice([2, 10, 100])) if n_steps is None else n_steps
+            meas_record, meas_report, info = run_measurement_process(
+                layout, temperature, model, rho_s, n_steps=n)
+            p = meas_record.branch_weights("final")
+            eras_sched = erasure_schedule(layout, temperature, p, n)
+            eras_record, eras_report = run_erasure_protocol(layout, temperature, p,
+                                                            eras_sched)
+            sum_report = verify_sum_bound(meas_record, eras_record, info, temperature)
         results.append({
             "index": i,
             "seed": seed,

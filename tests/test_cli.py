@@ -148,6 +148,18 @@ class TestVerifyBounds:
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_check_failure_names_its_instance(self, tmp_path, capsys):
+        # a failed check ends its one line with the replay label of the
+        # instance that raised it, which replays the failure on its own
+        code = main(["verify-bounds", "--seed", "0", "--instances", "2",
+                     "--temperature", "0.05", "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("verify-bounds: check failed: conditional schedule 2 leaves weight "
+                       "4.155e-06 outside branch 2 (measurement seed=0 index=0)\n")
+        with pytest.raises(ArithmeticError, match=r"\(measurement seed=0 index=0\)$"):
+            cli.measurement_bound_suite(0, 1, temperature=0.05)
+
     def test_sum_violation_names_its_row(self, tmp_path, monkeypatch, capsys):
         suite = cli.measurement_bound_suite
 

@@ -1,6 +1,5 @@
 import json
 import re
-import sys
 import threading
 import warnings
 
@@ -17,7 +16,9 @@ from infothermo.langevin import (
     SingleWellError,
     UnstableTimestepError,
     _block_plan,
-    _fill_noise,
+    _draw_block,
+    _kick_rows,
+    _kick_table,
     _may_leave_domain,
     _sample_initial_positions,
     basin_free_energies,
@@ -112,6 +113,34 @@ def two_point_noise(gen, n_steps: int, width: int, kick: np.float32) -> np.ndarr
     return np.where(bits == 0, kick, -kick).astype(np.float32).reshape(n_steps, width)
 
 
+def chunkwise_initial_positions(pot: PotentialSpec, temperature: float, weights,
+                                 generators, n_traj: int) -> np.ndarray:
+    """Oracle for the kernel's initial sampler: its rejection rounds run
+    chunk by chunk, each chunk to the end before the next starts.
+
+    Chunk k (columns [128 k, 128 k + 128), cut at n_traj) draws from its
+    own stream its trajectories' basins, then rounds of candidate positions
+    uniform in the basin and acceptance variates for the trajectories still
+    pending, accepted with probability e^{-(V - floor)/T}, the floor the
+    least V on 512 points of the basin.
+    """
+    top = pot.barrier_top()
+    lo = np.array([pot.x_min, top])
+    hi = np.array([top, pot.x_max])
+    floors = np.array([pot.value(np.linspace(l, h, 512)).min() for l, h in zip(lo, hi)])
+    out = np.empty(n_traj)
+    for k, gen in enumerate(generators):
+        pending = np.arange(128 * k, min(128 * k + 128, n_traj))
+        basin = (gen.random(pending.size) >= weights[0]).astype(np.intp)
+        while pending.size:
+            x = gen.uniform(lo[basin], hi[basin])
+            accept = gen.random(pending.size) < np.exp(
+                -(pot.value(x) - floors[basin]) / temperature)
+            out[pending[accept]] = x[accept]
+            pending, basin = pending[~accept], basin[~accept]
+    return out
+
+
 def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
                           h_t: float, n_cells: int = 300,
                           temperature: float = 1.0) -> tuple:
@@ -155,54 +184,11 @@ def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
     return float(work), float(success)
 
 
-class EagerPool:
-    """Stand-in for the kernel's one-thread pool, run on the calling thread.
-
-    The eager pool fills each block inside `submit`, as soon as the block
-    is handed over; the lazy one fills it only when its result is read, at
-    the join.  A fill submitted while an earlier one is not yet joined
-    fails the run.
-    """
-
-    eager = True
-
-    def __init__(self, max_workers):
-        assert max_workers == 1
-        self.unjoined = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        assert self.unjoined == 0, "a fill started before the last one was joined"
-        self.unjoined += 1
-        if self.eager:
-            fn(*args)
-        return SerialFuture(self, None if self.eager else lambda: fn(*args))
-
-
-class LazyPool(EagerPool):
-    eager = False
-
-
-class SerialFuture:
-    def __init__(self, pool, deferred):
-        self.pool = pool
-        self.deferred = deferred
-
-    def result(self):
-        self.pool.unjoined -= 1
-        if self.deferred is not None:
-            self.deferred()
-
-
 def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
                        params: EnsembleParams) -> dict:
-    """A plain Euler-Maruyama loop in the kernel's arithmetic order, with
-    each chunk's two-point noise read bit by bit from its documented stream.
+    """A plain Euler-Maruyama loop in the kernel's arithmetic order, from
+    the chunk-by-chunk initial sample, with each chunk's two-point noise
+    read bit by bit from its documented stream.
 
     The drift is Horner's x (1 + 2b dt - 4a dt x^2); the clamp is np.clip on
     every step, with the positions it moves counted.  Each step's segment
@@ -223,8 +209,8 @@ def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
               for i, sign in enumerate((1.0, -1.0, 1.0))] for s in range(len(times) - 1)]
     seqs = [np.random.SeedSequence(params.seed, spawn_key=(k,)) for k in range(len(widths))]
     gens = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
-    x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
-                                  gens, n_traj)
+    x = chunkwise_initial_positions(pot, params.temperature, params.initial_weights,
+                                    gens, n_traj)
     kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
     noise = np.hstack([two_point_noise(g, n_steps, w, kick) for g, w in zip(gens, widths)])
     works = np.zeros(n_traj)
@@ -272,29 +258,18 @@ def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
 
 
 def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500) -> int:
-    """The blocked, threaded kernel against `stepwise_reference` on the
-    ratio-4 erasure; returns the reference's clamp hits.
-
-    The kernel runs on its own pool and on the eager pool, which
-    fills block i + 1 before block i is stepped: a fill into the buffer
-    being stepped, or one started before the last join, then fails for
-    certain rather than by the luck of a race.
-    """
+    """The blocked, tiled kernel against `stepwise_reference` on the ratio-4
+    erasure; returns the reference's clamp hits."""
     pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
     params = EnsembleParams(n_traj=n_traj, seed=5, dt=1e-3)
     sched = erasure_protocol_schedule(pot, n_steps * params.dt)
     assert round(sched.duration / params.dt) == n_steps
-    runs = [simulate_erasure(pot, sched, params)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
-        runs.append(simulate_erasure(pot, sched, params))
-
+    ens = simulate_erasure(pot, sched, params)
     ref = stepwise_reference(pot, sched, params)
-    for ens in runs:
-        assert np.array_equal(ens.final_positions, ref["positions"])
-        assert np.array_equal(ens.works, ref["works"])
-        assert np.array_equal(ens.trajectory_seeds, ref["seeds"])
-        assert ens.clamp_hits == ref["clamp_hits"]
+    assert np.array_equal(ens.final_positions, ref["positions"])
+    assert np.array_equal(ens.works, ref["works"])
+    assert np.array_equal(ens.trajectory_seeds, ref["seeds"])
+    assert ens.clamp_hits == ref["clamp_hits"]
     return ref["clamp_hits"]
 
 
@@ -467,8 +442,15 @@ class TestSimulation:
     @pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1024])
     def test_matches_stepwise_reference_at_block_edges(self, n_steps):
         # one step, one short of a 512-step noise block, one block, one
-        # past it, and two blocks that reuse the first block's buffer
+        # past it, and two blocks
         assert_matches_stepwise_reference(130, n_steps)
+
+    @pytest.mark.parametrize("n_traj", [1, 127, 128, 129, 256])
+    def test_matches_stepwise_reference_across_tile_edges(self, n_traj):
+        # a partial chunk alone, one full chunk with and without a partial
+        # one, and two full chunks, whose tile of 256 or 128 rows ends
+        # inside every block of 512, 512 and 176 steps
+        assert_matches_stepwise_reference(n_traj, 1200)
 
     def test_clamp_guard_matches_clamping_every_step(self, monkeypatch):
         # a domain of +-1.95 cuts the wells at +-1.80 close: the clamp fires
@@ -485,26 +467,28 @@ class TestSimulation:
         # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
         # NaN must survive the step loop and be reported, not clamped away,
         # with the steps of the block it appeared in: the only block, the
-        # last of two, the middle of three
-        fill = langevin._fill_noise
-        monkeypatch.setattr(langevin, "ThreadPoolExecutor", EagerPool)
+        # last of two, the middle of three; the NaN comes once through a
+        # full chunk's tile row and once through the partial chunk's row
+        expand = langevin._kick_rows
         pot = symmetric_double_well()
         for duration, block, steps in ((0.1, 0, "[0, 100)"), (0.8, 1, "[512, 800)"),
                                        (1.2, 1, "[512, 1024)")):
-            calls = []
+            for n_traj, column, part in ((130, 5, 0), (133, 129, 1)):
+                calls = []
 
-            def nan_kick(noise, *args):
-                fill(noise, *args)
-                calls.append(args)
-                # each block is filled by one call: block b by call b + 1
-                if len(calls) == block + 1:
-                    noise[3, 5] = np.nan
+                def nan_kick(*args):
+                    calls.append(args)
+                    # each block is expanded by one call: block b by call b + 1
+                    for i, rows in enumerate(expand(*args)):
+                        if len(calls) == block + 1 and i == 3:
+                            rows[part][column - 128 * part] = np.nan
+                        yield rows
 
-            monkeypatch.setattr(langevin, "_fill_noise", nan_kick)
-            with pytest.raises(FloatingPointError, match=r"trajectory 5 .* diverged in "
-                               r"steps " + re.escape(steps) + "$"):
-                simulate_erasure(pot, erasure_protocol_schedule(pot, duration),
-                                 EnsembleParams(n_traj=8, seed=0))
+                monkeypatch.setattr(langevin, "_kick_rows", nan_kick)
+                with pytest.raises(FloatingPointError, match=rf"trajectory {column} .* "
+                                   r"diverged in steps " + re.escape(steps) + "$"):
+                    simulate_erasure(pot, erasure_protocol_schedule(pot, duration),
+                                     EnsembleParams(n_traj=n_traj, seed=0))
 
     def test_segment_sums_match_per_step_charges(self):
         # knots off the step grid, one on it (t = 0.5), two inside one step
@@ -533,8 +517,8 @@ class TestSimulation:
             assert np.array_equal(ens.works, ref["works"])
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
-        # 128 trajectories are one chunk; 300 are three, filled one after
-        # another by the fill thread; chunk 0 must come out the same
+        # 128 trajectories are one chunk; 300 are three, drawn one after
+        # another and stepped together; chunk 0 must come out the same
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
         one = simulate_erasure(pot, sched, EnsembleParams(n_traj=128, seed=13))
@@ -543,47 +527,16 @@ class TestSimulation:
         assert np.array_equal(one.final_positions, three.final_positions[:128])
         assert np.array_equal(one.trajectory_seeds, three.trajectory_seeds[:128])
 
-    def test_fill_independent_of_thread_count_and_switching(self, monkeypatch):
-        # each block filled at its hand-over, filled at its join, and filled
-        # on the fill thread while the main thread steps, under a very short
-        # switch interval, must not change a bit
-        pot = symmetric_double_well()
-        sched = erasure_protocol_schedule(pot, 1.1)    # blocks of 512, 512, 76
-        params = EnsembleParams(n_traj=700, seed=17)   # six chunks
-        base = simulate_erasure(pot, sched, params)
-        runs = []
-        for pool in (EagerPool, LazyPool):
-            monkeypatch.setattr(langevin, "ThreadPoolExecutor", pool)
-            runs.append(simulate_erasure(pot, sched, params))
-        monkeypatch.undo()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs.append(simulate_erasure(pot, sched, params))
-        finally:
-            sys.setswitchinterval(interval)
-        for run in runs:
-            assert np.array_equal(base.works, run.works)
-            assert np.array_equal(base.final_positions, run.final_positions)
-
-    def test_fill_thread_fills_every_block_whole(self, monkeypatch):
-        # one fill call per block (512, 512 and 76 steps), none of them on
-        # the main thread
-        fill = langevin._fill_noise
-        threads = []
-
-        def record_thread(*args):
-            threads.append(threading.current_thread())
-            fill(*args)
-
-        monkeypatch.setattr(langevin, "_fill_noise", record_thread)
-        pot = symmetric_double_well()
-        simulate_erasure(pot, erasure_protocol_schedule(pot, 1.1),
-                         EnsembleParams(n_traj=300, seed=17))
-        assert len(threads) == 3
-        assert threading.main_thread() not in threads
-
     def test_no_thread_outlives_a_run(self, monkeypatch):
+        # a run starts no thread at all, whether it ends or is stopped
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
         pot = symmetric_double_well()
         sched = erasure_protocol_schedule(pot, 1.6)    # four noise blocks
         params = EnsembleParams(n_traj=300, seed=19)
@@ -591,8 +544,7 @@ class TestSimulation:
         simulate_erasure(pot, sched, params)
         assert threading.active_count() == before
 
-        # the second check runs after block 1 is stepped, while block 2's
-        # fill is in flight, so the error leaves that fill running
+        # the second check runs after block 1 is stepped, two blocks early
         calls = []
 
         def fail_on_second_call(x, traj_seeds, first, end):
@@ -605,6 +557,7 @@ class TestSimulation:
             simulate_erasure(pot, sched, params)
         assert len(calls) == 2
         assert threading.active_count() == before
+        assert started == []
 
     def test_segment_keeps_its_rates_across_a_block_edge(self):
         # steps 511 and 512, the last of block 0 and the first of block 1,
@@ -677,24 +630,33 @@ class TestSimulation:
 
 
 class TestNoiseFill:
-    """The two-point fill: +-kick with equal odds, independent increments."""
+    """The two-point noise: +-kick with equal odds, independent increments,
+    drawn per block as bits and expanded a tile at a time."""
 
     kick = np.float32(np.sqrt(2.0e-3))
 
-    def fill(self, seed, n_traj, count=1024):
+    def expand(self, gens, n_traj, count, height):
+        """One block drawn by `_draw_block` and expanded through a tile of
+        `height` rows, as a (count, n_traj) array."""
+        table = _kick_table(self.kick)
+        bits, partial = _draw_block(gens, count, n_traj, table)
+        tile = np.full((height, n_traj // 128 * 128), np.nan)
+        return np.array([np.concatenate(rows) for rows in _kick_rows(table, tile, bits,
+                                                                     partial)])
+
+    def fill(self, seed, n_traj, count=1024, height=100):
         gens = [np.random.Generator(np.random.SFC64(s))
                 for s in np.random.SeedSequence(seed).spawn(-(-n_traj // 128))]
-        noise = np.full((count, n_traj), np.nan, dtype=np.float32)
-        _fill_noise(noise, gens, count, self.kick)
-        return noise, gens
+        return self.expand(gens, n_traj, count, height), gens
 
     def test_values_are_exactly_plus_minus_kick(self):
         noise, _ = self.fill(91, 131)
-        assert set(np.unique(noise)) == {self.kick, -self.kick}
+        assert noise.dtype == np.float64
+        assert set(np.unique(noise)) == {np.float64(self.kick), np.float64(-self.kick)}
 
     def test_balanced_signs_uncorrelated_across_steps_and_columns(self):
         noise, _ = self.fill(92, 256)
-        signs = noise.astype(float) / float(self.kick)
+        signs = noise / float(self.kick)
         assert stats.binomtest(int((signs > 0).sum()), signs.size, 0.5).pvalue > 0.01
         # a sample correlation of n independent pairs has sd 1 / sqrt(n)
         for first, second in ((signs[:-1], signs[1:]), (signs[:, :-1], signs[:, 1:])):
@@ -707,25 +669,24 @@ class TestNoiseFill:
         # exactly where one 512-row block would; also for a chunk of width 3
         whole, _ = self.fill(93, n_traj, count=512)
         first, gens = self.fill(93, n_traj, count=256)
-        second = np.empty_like(first)
-        _fill_noise(second, gens, 256, self.kick)
+        second = self.expand(gens, n_traj, 256, 100)
         assert np.array_equal(whole, np.vstack([first, second]))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 127, 128])
     def test_byte_table_matches_bit_reference(self, width):
-        # chunk 0 is full and chunk 1 has the width under test, filled in
-        # one call, so a width that is not a multiple of 8 takes the scratch
-        # copy beside chunk 0's direct write
+        # chunk 0 is full and chunk 1 has the width under test, drawn in
+        # one call, so a width under 128 is expanded as the partial chunk
+        # beside chunk 0's tile; tiles of 3, 100 and 256 rows, the first
+        # two not dividing 512, and of one row
         def streams():
             return [np.random.Generator(np.random.SFC64(s))
                     for s in np.random.SeedSequence(94).spawn(2)]
 
         for count in (1, 7, 256, 512):
-            noise = np.full((count, 128 + width), np.nan, dtype=np.float32)
-            _fill_noise(noise, streams(), count, self.kick)
             ref = np.hstack([two_point_noise(g, count, w, self.kick)
                              for g, w in zip(streams(), (128, width))])
-            assert np.array_equal(noise, ref)
+            for height in (1, 3, 100, 256):
+                assert np.array_equal(self.expand(streams(), 128 + width, count, height), ref)
 
 
 class TestNoEscapeRule:
@@ -897,3 +858,19 @@ class TestEquilibriumSampling:
             assert counts.sum() == sample.size
             _, p_value = stats.chisquare(counts)
             assert p_value > 0.01
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3])
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.8), (1.0, 0.0), (0.0, 1.0)])
+    def test_initial_sampler_matches_chunkwise_oracle(self, weights, temperature):
+        # the kernel runs each rejection round over every chunk at once;
+        # each chunk's draws, and so every position, must be those of
+        # running the chunks one after another
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        for n in (1, 127, 128, 131, 300, 10_000):
+            def streams():
+                return [np.random.Generator(np.random.SFC64(s))
+                        for s in np.random.SeedSequence(85).spawn(-(-n // 128))]
+
+            xs = _sample_initial_positions(pot, temperature, weights, streams(), n)
+            ref = chunkwise_initial_positions(pot, temperature, weights, streams(), n)
+            assert np.array_equal(xs, ref)

@@ -341,6 +341,24 @@ class TestRandomizedSuites:
         b = erasure_bound_suite(7, 5)
         assert a == b
 
+    @pytest.mark.parametrize("fuzz, suite", [(False, "erasure"), (True, "fuzz")])
+    def test_failed_check_names_its_instance(self, monkeypatch, fuzz, suite):
+        # the label is the one `verify-bounds` prints to replay a violation
+        from infothermo import protocols
+
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NotAnErasureError("injected")
+            return run_erasure_protocol(*args)
+
+        monkeypatch.setattr(protocols, "run_erasure_protocol", fail_second)
+        with pytest.raises(NotAnErasureError) as info:
+            erasure_bound_suite(7, 3, fuzz=fuzz)
+        assert str(info.value) == f"injected ({suite} seed=7 index=1)"
+
     def test_fuzzed_schedule_restores_energies(self):
         rng = np.random.default_rng(9)
         layout = two_branch_layout(0.4)
