@@ -13,6 +13,7 @@ the temperature defaults to 1; all works are reported in units of T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -416,21 +417,12 @@ def _draw_block(generators, count: int, n_traj: int,
     return bits.reshape(count, -1), kicks.reshape(-1)[:n].reshape(count, width)
 
 
-def _kick_rows(table: np.ndarray, tile: np.ndarray, bits: np.ndarray,
-               partial: np.ndarray):
-    """Yield each step's kicks of a block drawn by `_draw_block`: the full
-    chunks' row, then the partial chunk's row.
-
-    The full chunks' bits are expanded through `table`, one `np.take` for
-    every tile's height of steps, into the reused float64 `tile`, whose
-    rows are yielded in turn: a row is valid until the next tile is
-    expanded.
-    """
-    for t in range(0, bits.shape[0], tile.shape[0]):
-        octets = bits[t:t + tile.shape[0]]
-        rows = tile[:octets.shape[0]]
-        np.take(table, octets, axis=0, out=rows.reshape(*octets.shape, 8), mode="clip")
-        yield from zip(rows, partial[t:t + tile.shape[0]])
+def _expand_tile(table: np.ndarray, octets: np.ndarray, tile: np.ndarray):
+    """Expand the full chunks' bits of at most a tile's height of steps, a
+    row of `_draw_block`'s bytes a step, through `table` into the leading
+    rows of the reused float64 `tile`, in one `np.take`."""
+    rows = tile[:octets.shape[0]]
+    np.take(table, octets, 0, rows.reshape(*octets.shape, 8), "clip")
 
 
 def _sample_initial_positions(pot: PotentialSpec, temperature: float,
@@ -532,60 +524,75 @@ def check_protocol(schedule: ProtocolSchedule, params: EnsembleParams):
 
 
 def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
-                dt: float, kick: np.float32, x_max: float) -> tuple[list, list]:
+                dt: float, kick: np.float32, x_max: float,
+                height: int) -> tuple[np.ndarray, list, list]:
     """The coefficients of the `count` steps from step j, from the schedule
     at grid points j .. j + count.
 
-    `steps` holds each step's drift factors -4a dt, 1 + 2b dt and c dt, and
-    whether it may leave the domain (`_may_leave_domain`), as Python floats
-    and bools, cheaper to unpack than numpy scalars.  `step_rates` holds
-    each step's work rates: step i lies in segment s when T_s <= t_i and
-    t_{i+1} <= T_{s+1}, and takes the list rates[s], one object for all of
-    s and for the whole run, so a segment that crosses a block edge stays
-    open across it; a step that straddles a knot takes a fresh tuple of its
-    own increments of lambda(t) on the step grid.
+    `drift` holds each step's drift factors -4a dt, 1 + 2b dt and c dt in a
+    row; `steps` holds, as Python bools, whether its c dt is non-zero and
+    whether it may leave the domain (`_may_leave_domain`).  `runs` cuts
+    [0, count) in order into runs (start, stop, rates).  Step i lies in
+    segment s when T_s <= t_i and t_{i+1} <= T_{s+1}; a run of segment s is
+    a longest stretch of its steps inside one tile of `height` steps from
+    the block's start, and takes the list rates[s], one object for all of s
+    and for the whole run, so a segment that crosses a tile or block edge
+    stays open across it.  A step that straddles a knot is a run of its
+    own, with a fresh tuple of its increments of lambda(t) on the step grid.
     """
     grid = (j + np.arange(count + 1)) * dt
     lam = schedule.coefficients_at(grid)
     a, b, c = lam[:-1].T
-    steps = list(zip((-4.0 * a * dt).tolist(), (1.0 + 2.0 * b * dt).tolist(),
-                     (c * dt).tolist(),
+    drift = np.stack([-4.0 * a * dt, 1.0 + 2.0 * b * dt, c * dt], axis=1)
+    steps = list(zip((drift[:, 2] != 0.0).tolist(),
                      _may_leave_domain(lam[:-1], dt, float(kick), x_max).tolist()))
     first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
     last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
-    increments = (np.diff(lam, axis=0) * [1.0, -1.0, 1.0]).tolist()
-    step_rates = [rates[s] if s == e else tuple(d)
-                  for s, e, d in zip(first.tolist(), last.tolist(), increments)]
-    return steps, step_rates
+    segment = np.where(first == last, first, -1)     # -1 for a step across a knot
+    edges = segment < 0
+    edges[1:] |= segment[1:] != segment[:-1]
+    edges[::height] = True
+    starts = np.flatnonzero(edges).tolist()
+    increments = np.diff(lam, axis=0) * [1.0, -1.0, 1.0]
+    runs = [(start, stop, rates[s] if s >= 0 else tuple(increments[start].tolist()))
+            for start, stop, s in zip(starts, starts[1:] + [count],
+                                      segment[starts].tolist())]
+    return drift, steps, runs
 
 
-def _step_block(x, works, sums, kicks, steps, step_rates, open_rates, x_max):
+def _step_block(x, works, sums, factors, steps, runs, table, bits, partial, tile,
+                rows, open_rates, x_max):
     """Step x in place through one noise block; return the rates of the
     segment left open and the number of positions the clamp moved.
 
     Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1, the
     drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
-    [-x_max, x_max].  `kicks` gives each step's float64 kicks (`_kick_rows`),
-    the full chunks' row added to their columns in place and a partial
-    chunk's row to the rest; adding float64(+-kick) is what adding the
-    float32 kick to x computes.  The clamp runs only on the steps
-    `_block_plan` flags where max x^2 >= x_max^2, which every step with a
-    position outside the domain meets, so the positions are those of
-    clamping every step (the drift map is increasing on the domain and the
-    kick is exactly +-kick, so an unflagged step cannot leave it; on the
-    default erasure of the a = 1, b = 6.5 well at T = 1 and dt = 1e-3,
-    symmetric or at ratio 4, the reach is at most 2.8396 and no step is
-    flagged).
+    [-x_max, x_max].  The block goes run by run (`_block_plan`); a run that
+    starts on a tile edge first expands the next tile of the full chunks'
+    `bits` (`_expand_tile`).  Step i reads its drift factors through
+    `factors[i]`, 0-d views of the caller's copy of `_block_plan`'s drift,
+    and adds a row of `tile` (`rows`) to the full chunks' columns in place
+    and, when there is a partial chunk, its row of `partial` to the rest;
+    adding float64(+-kick) is what adding the float32 kick to x computes.
+    The clamp runs only on the steps `_block_plan` flags where
+    max x^2 >= x_max^2, which every step with a position outside the domain
+    meets, so the positions are those of clamping every step (the drift map
+    is increasing on the domain and the kick is exactly +-kick, so an
+    unflagged step cannot leave it; on the default erasure of the a = 1,
+    b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at ratio 4, the reach
+    is at most 2.8396 and no step is flagged).
 
     A step inside one linear segment of the schedule adds x^4, x^2 or x to
     the running `sums`, for each coefficient the segment varies; the sums
-    are charged to `works` at the segment's rates when a step takes other
-    rates than `open_rates`, so a segment that crosses the block's edge is
-    charged once, by a later block or by the caller.
+    are charged to `works` at the segment's rates before a run of other
+    rates than `open_rates`, so a segment that crosses a tile or block edge
+    is charged once, by a later run, block or the caller.
     """
     full = x.size // _CHUNK * _CHUNK
     head, tail = x[:full], x[full:]
-    x2 = x * x                             # the same product the last step left
+    height = tile.shape[0]
+    bound = x_max * x_max
+    x2 = np.square(x)                      # the same product the last step left
     tmp = np.empty_like(x)
     sum4, sum2, sum1 = sums
     clamp_hits = 0
@@ -593,36 +600,43 @@ def _step_block(x, works, sums, kicks, steps, step_rates, open_rates, x_max):
     # position past the domain's edge, which the guarded clamp moves and
     # squares again
     with np.errstate(over="ignore"):
-        for (quartic, linear, shift, guarded), (row, tail_row), r in zip(steps, kicks,
-                                                                         step_rates):
-            np.multiply(x2, quartic, out=tmp)
-            tmp += linear
-            x *= tmp                           # x + dt (2b x - 4a x^3), by Horner
-            if shift != 0.0:
-                x -= shift
-            head += row                        # already scaled by the kick
-            if tail.size:
-                tail += tail_row
-            np.multiply(x, x, out=x2)          # for the work below and the next drift
-            # only a flagged step can leave the domain; every |x| > x_max has
-            # x^2 >= x_max^2 after rounding, so the clamp moves no position
-            # unless this trips; a NaN does not trip it
-            if guarded and np.maximum.reduce(x2) >= x_max * x_max:
-                clamp_hits += np.count_nonzero((x < -x_max) | (x > x_max))
-                np.maximum(x, -x_max, out=x)
-                np.minimum(x, x_max, out=x)
-                np.multiply(x, x, out=x2)
+        for start, stop, r in runs:
             if r is not open_rates:
                 _charge_segment(works, sums, open_rates)
                 open_rates = r
-            r4, r2, r1 = r
-            if r4 != 0.0:
-                np.multiply(x2, x2, out=tmp)
-                sum4 += tmp
-            if r2 != 0.0:
-                sum2 += x2
-            if r1 != 0.0:
-                sum1 += x
+            add4, add2, add1 = (rate != 0.0 for rate in r)
+            offset = start % height
+            if not offset:
+                _expand_tile(table, bits[start:start + height], tile)
+            tail_rows = partial[start:stop] if tail.size else repeat(None)
+            for (quartic, linear, shift), (shifted, guarded), row, tail_row in zip(
+                    factors[start:stop], steps[start:stop],
+                    rows[offset:offset + stop - start], tail_rows):
+                np.multiply(x2, quartic, tmp)
+                tmp += linear
+                x *= tmp                       # x + dt (2b x - 4a x^3), by Horner
+                if shifted:
+                    x -= shift
+                head += row                    # already scaled by the kick
+                if tail_row is not None:
+                    tail += tail_row
+                np.square(x, x2)               # for the work below and the next drift
+                # only a flagged step can leave the domain; every |x| > x_max
+                # has x^2 >= x_max^2 after rounding, so the clamp moves no
+                # position unless this trips; a NaN does not trip it
+                if guarded and np.maximum.reduce(x2) >= bound:
+                    clamp_hits += np.count_nonzero((x < -x_max) | (x > x_max))
+                    # numpy 2.4 deprecates a positional out for these two
+                    np.maximum(x, -x_max, out=x)
+                    np.minimum(x, x_max, out=x)
+                    np.square(x, x2)
+                if add4:
+                    np.square(x2, tmp)
+                    sum4 += tmp
+                if add2:
+                    sum2 += x2
+                if add1:
+                    sum1 += x
     return open_rates, clamp_hits
 
 
@@ -658,13 +672,14 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
 
     The steps go in blocks of 512, all on the calling thread; no other
     thread is started.  For each block it draws every chunk's bits
-    (`_draw_block`, 64 bytes a trajectory), plans the block
-    (`_block_plan`), steps it (`_step_block`), expanding the full chunks'
-    bits a tile at a time through a 256-row table of each byte's kicks into
-    one reused float64 tile of about 2^15 kicks (`_kick_rows`), and checks
-    its positions for a NaN (`_check_finite`).  The coefficients are
-    evaluated per block, so memory does not grow with the step count (at
-    most MAX_STEPS).
+    (`_draw_block`, 64 bytes a trajectory), plans the block's steps and its
+    runs of one set of work rates within one tile (`_block_plan`), steps it
+    run by run (`_step_block`), expanding the full chunks' bits a tile at a
+    time through a 256-row table of each byte's kicks into one reused
+    float64 tile of about 2^15 kicks (`_expand_tile`), whose row views are
+    made once per call, and checks its positions for a NaN
+    (`_check_finite`).  The coefficients are evaluated per block, so memory
+    does not grow with the step count (at most MAX_STEPS).
     """
     check_protocol(schedule, params)
     dt = params.dt
@@ -686,6 +701,11 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     # trajectories, 3 at 10^4, and one row past 2^15 columns
     full = params.n_traj // _CHUNK * _CHUNK
     tile = np.empty((max(1, _TILE // max(full, _CHUNK)), full))
+    # views made once, of the tile's rows and of each step's drift factors
+    # in `drift`: numpy reads a 0-d array faster than it converts a float
+    rows = list(tile)
+    drift = np.empty((_NOISE_BLOCK, 3))
+    factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
     # the clamp guard compares x^2 with x_max^2, and the no-escape rule
     # bounds |x|, so the domain must be symmetric
     assert pot.x_min == -pot.x_max
@@ -700,9 +720,10 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     for j in range(0, n_steps, _NOISE_BLOCK):
         count = min(_NOISE_BLOCK, n_steps - j)
         bits, partial = _draw_block(generators, count, params.n_traj, table)
-        steps, step_rates = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max)
-        open_rates, hits = _step_block(x, works, sums, _kick_rows(table, tile, bits, partial),
-                                       steps, step_rates, open_rates, pot.x_max)
+        drift[:count], steps, runs = _block_plan(schedule, rates, j, count, dt, kick,
+                                                 pot.x_max, tile.shape[0])
+        open_rates, hits = _step_block(x, works, sums, factors, steps, runs, table, bits,
+                                       partial, tile, rows, open_rates, pot.x_max)
         clamp_hits += hits
         _check_finite(x, traj_seeds, j, j + count)
     _charge_segment(works, sums, open_rates)

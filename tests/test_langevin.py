@@ -17,7 +17,7 @@ from infothermo.langevin import (
     UnstableTimestepError,
     _block_plan,
     _draw_block,
-    _kick_rows,
+    _expand_tile,
     _kick_table,
     _may_leave_domain,
     _sample_initial_positions,
@@ -49,6 +49,21 @@ def segment_rates(schedule: ProtocolSchedule, dt: float) -> list:
             * dt * [1.0, -1.0, 1.0]).tolist()
 
 
+def tile_edge_schedule() -> ProtocolSchedule:
+    """An 800-step schedule at dt = 1e-3 whose segments meet the 128-row
+    tiles of 256 to 383 trajectories and the 512-step noise blocks: knots
+    on the step grid at steps 127, 128 (a tile edge) and 129, a knot inside
+    step 256 (the first row of a tile), and a segment from step 257 to 699
+    across the tile edge at 384, the block edge at 512 and the tile edge at
+    640; a, b and c all vary."""
+    knots = ((0.0, [1.0, 6.5, 0.0]), (127 * 1e-3, [0.9, 6.0, 0.3]),
+             (128 * 1e-3, [0.9, 5.8, 0.2]), (129 * 1e-3, [0.85, 5.5, 0.25]),
+             (0.2565, [0.9, 5.0, -0.2]), (700 * 1e-3, [0.95, 6.0, 0.1]),
+             (0.8, [1.0, 6.5, 0.0]))
+    return schedule_from_json({"duration": 0.8, "knots": [
+        {"time": t, "coefficients": k} for t, k in knots]})
+
+
 def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
     """Steps of a `simulate_erasure` run that the kernel's own `_block_plan`
     flags, block by block, with the kernel's kick and domain end."""
@@ -58,9 +73,9 @@ def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
     block = langevin._NOISE_BLOCK
     flagged = 0
     for j in range(0, n_steps, block):
-        steps, _ = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
-                               kick, PotentialSpec.x_max)
-        flagged += sum(guarded for *_, guarded in steps)
+        _, steps, _ = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
+                                  kick, PotentialSpec.x_max, block)
+        flagged += sum(guarded for _, guarded in steps)
     return flagged
 
 
@@ -467,24 +482,32 @@ class TestSimulation:
         # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
         # NaN must survive the step loop and be reported, not clamped away,
         # with the steps of the block it appeared in: the only block, the
-        # last of two, the middle of three; the NaN comes once through a
-        # full chunk's tile row and once through the partial chunk's row
-        expand = langevin._kick_rows
+        # last of two, the middle of three; the NaN comes once through the
+        # first tile a block expands for the full chunks, at step 3, and
+        # once through the partial chunk's kicks of that step
+        draw, expand = langevin._draw_block, langevin._expand_tile
         pot = symmetric_double_well()
         for duration, block, steps in ((0.1, 0, "[0, 100)"), (0.8, 1, "[512, 800)"),
                                        (1.2, 1, "[512, 1024)")):
-            for n_traj, column, part in ((130, 5, 0), (133, 129, 1)):
-                calls = []
+            for n_traj, column in ((130, 5), (133, 129)):
+                drawn, tiles = [], []
 
-                def nan_kick(*args):
-                    calls.append(args)
-                    # each block is expanded by one call: block b by call b + 1
-                    for i, rows in enumerate(expand(*args)):
-                        if len(calls) == block + 1 and i == 3:
-                            rows[part][column - 128 * part] = np.nan
-                        yield rows
+                def nan_draw(*args):
+                    drawn.append(args)
+                    tiles.clear()
+                    bits, partial = draw(*args)
+                    if len(drawn) == block + 1 and column >= 128:
+                        partial[3, column - 128] = np.nan
+                    return bits, partial
 
-                monkeypatch.setattr(langevin, "_kick_rows", nan_kick)
+                def nan_tile(table, octets, tile):
+                    tiles.append(octets)
+                    expand(table, octets, tile)
+                    if len(drawn) == block + 1 and len(tiles) == 1 and column < 128:
+                        tile[3, column] = np.nan
+
+                monkeypatch.setattr(langevin, "_draw_block", nan_draw)
+                monkeypatch.setattr(langevin, "_expand_tile", nan_tile)
                 with pytest.raises(FloatingPointError, match=rf"trajectory {column} .* "
                                    r"diverged in steps " + re.escape(steps) + "$"):
                     simulate_erasure(pot, erasure_protocol_schedule(pot, duration),
@@ -515,6 +538,58 @@ class TestSimulation:
             assert np.array_equal(ens.final_positions, ref["positions"])
             assert np.abs(ens.works - ref["per_step_works"]).max() <= 1e-10
             assert np.array_equal(ens.works, ref["works"])
+
+    @pytest.mark.parametrize("n_traj", [256, 300])
+    def test_runs_match_stepwise_reference_at_tile_and_block_edges(self, n_traj):
+        # tiles of 128 rows, without and with a partial chunk: a segment
+        # charged at a tile edge, or a tile not refilled where a run starts
+        # on its edge, changes the bytes
+        pot = symmetric_double_well()
+        sched = tile_edge_schedule()
+        params = EnsembleParams(n_traj=n_traj, seed=29)
+        ens = simulate_erasure(pot, sched, params)
+        ref = stepwise_reference(pot, sched, params)
+        assert np.array_equal(ens.final_positions, ref["positions"])
+        assert np.array_equal(ens.works, ref["works"])
+
+    def test_block_plan_runs(self):
+        # the runs of both blocks of `tile_edge_schedule` with 128-row tiles
+        sched = tile_edge_schedule()
+        dt, height = 1e-3, 128
+        rates = segment_rates(sched, dt)
+        kick = np.float32(np.sqrt(2.0 * dt))
+        grid = np.arange(801) * dt
+        starts, straddles, last = [], [], None
+        for j, count in ((0, 512), (512, 288)):
+            drift, steps, runs = _block_plan(sched, rates, j, count, dt, kick,
+                                             PotentialSpec.x_max, height)
+            assert drift.shape == (count, 3) and len(steps) == count
+            # the runs cover [0, count) in order, each inside one tile
+            assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
+            assert runs[-1][1] == count
+            for start, stop, r in runs:
+                assert start < stop and start // height == (stop - 1) // height
+                inside = [s for s in range(len(rates)) if sched.times[s] <= grid[j + start]
+                          and grid[j + stop] <= sched.times[s + 1]]
+                if inside:
+                    # a run inside segment s carries rates[s] itself, and a
+                    # run of the same rates before it ends on a tile edge
+                    assert r is rates[inside[0]]
+                    if last is not None and last[2] is r:
+                        assert (j + start) % height == 0
+                else:
+                    # a step across a knot is a run of its own, with its own
+                    # grid increments in a fresh tuple
+                    assert stop == start + 1 and type(r) is tuple
+                    lam = sched.coefficients_at(grid[j + start:j + stop + 1])
+                    assert r == tuple((np.diff(lam, axis=0)[0] * [1.0, -1.0, 1.0]).tolist())
+                    straddles.append(j + start)
+                starts.append(j + start)
+                last = (start, stop, r)
+        assert straddles == [256]
+        assert {127, 128, 129, 256, 257, 384, 512, 640, 700} <= set(starts)
+        # the segment across step 512 stays one set of rates in both blocks
+        assert 513 not in starts
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk; 300 are three, drawn one after
@@ -561,17 +636,20 @@ class TestSimulation:
 
     def test_segment_keeps_its_rates_across_a_block_edge(self):
         # steps 511 and 512, the last of block 0 and the first of block 1,
-        # lie in one segment of the ratio-4 erasure at tau = 1.5; both plans
-        # must give it the run's one rates list, or `_step_block` would
-        # charge the segment at the block edge and change the rounding
+        # lie in one segment of the ratio-4 erasure at tau = 1.5; the last
+        # run of block 0 and the first of block 1 must carry the run's one
+        # rates list, or `_step_block` would charge the segment at the block
+        # edge and change the rounding
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
         kick = np.float32(np.sqrt(2.0e-3))
         rates = segment_rates(sched, 1e-3)
-        plan0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max)
-        plan1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max)
-        assert plan0[1][-1] is plan1[1][0]
-        assert plan0[1][-1] is rates[np.searchsorted(sched.times, 0.512) - 1]
+        _, _, runs0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max, 128)
+        _, _, runs1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max,
+                                  128)
+        assert runs0[-1][1] == 512 and runs1[0][0] == 0
+        assert runs0[-1][2] is runs1[0][2]
+        assert runs0[-1][2] is rates[np.searchsorted(sched.times, 0.512) - 1]
 
     @pytest.mark.parametrize("duration", [4e-4, 5e-4])
     def test_protocol_under_half_a_step_rejected(self, duration):
@@ -636,13 +714,17 @@ class TestNoiseFill:
     kick = np.float32(np.sqrt(2.0e-3))
 
     def expand(self, gens, n_traj, count, height):
-        """One block drawn by `_draw_block` and expanded through a tile of
-        `height` rows, as a (count, n_traj) array."""
+        """One block drawn by `_draw_block` and expanded by `_expand_tile`,
+        a tile of `height` rows at a time, beside the partial chunk's kicks,
+        as a (count, n_traj) array."""
         table = _kick_table(self.kick)
         bits, partial = _draw_block(gens, count, n_traj, table)
         tile = np.full((height, n_traj // 128 * 128), np.nan)
-        return np.array([np.concatenate(rows) for rows in _kick_rows(table, tile, bits,
-                                                                     partial)])
+        full = []
+        for t in range(0, count, height):
+            _expand_tile(table, bits[t:t + height], tile)
+            full.append(tile[:min(height, count - t)].copy())
+        return np.hstack([np.vstack(full), partial])
 
     def fill(self, seed, n_traj, count=1024, height=100):
         gens = [np.random.Generator(np.random.SFC64(s))
