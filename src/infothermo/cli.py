@@ -209,8 +209,9 @@ MAX_GRID_POINTS = 100_000
 MAX_PROTOCOL_STEPS = 100_000
 # duration of the default erasure protocol; a --schedule file sets its own
 DEFAULT_TAU = 750.0
-# a 512-step langevin noise block draws 512 bits per trajectory, 6.4 MB at the
-# cap, beside seven float64 arrays of the ensemble's width, 5.6 MB
+# a 512-step langevin noise block draws 512 bits per trajectory, padded to
+# whole 128-trajectory chunks, 6.4 MB at the cap, beside seven float64 arrays
+# of the ensemble's width, 5.6 MB
 MAX_TRAJECTORIES = 100_000
 
 

@@ -13,7 +13,6 @@ the temperature defaults to 1; all works are reported in units of T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -338,7 +337,8 @@ class EnsembleParams:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "temperature", temperature_value(self.temperature))
         w = self.initial_weights
-        if len(w) != 2 or abs(w[0] + w[1] - 1.0) > 1e-12 or min(w) < 0:
+        # a NaN or infinite weight fails the sum's test
+        if len(w) != 2 or not abs(w[0] + w[1] - 1.0) <= 1e-12 or min(w) < 0:
             raise ValueError("initial_weights must be a two-entry distribution")
 
 
@@ -385,42 +385,37 @@ def _kick_table(kick: np.float32) -> np.ndarray:
     return np.array([kick, -kick], dtype=np.float64)[bits]
 
 
-def _draw_block(generators, count: int, n_traj: int,
-                table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _draw_block(generators, count: int, n_traj: int) -> np.ndarray:
     """Draw the noise of `count` steps from every chunk's stream.
 
     Chunk k of width w draws ceil(count w / 64) 64-bit words from its own
     stream in one `random_raw` call.  Their bytes, in little-endian order,
     give count w bits, most significant bit first, read row-major as the
-    chunk's (count, w) block of increments; `table` maps each byte to its
-    eight kicks.  A 512-step block takes exactly 8 w words, so a
-    trajectory's increments do not depend on the block length or on any
-    other chunk.
+    chunk's (count, w) block of increments.  A 512-step block takes exactly
+    8 w words, so a trajectory's increments do not depend on the block
+    length or on any other chunk.
 
-    Returns the full chunks' bits as a (count, 16 n_full) byte array, row i
-    holding step i's bytes in column order, and the kicks of a partial last
-    chunk, whose rows do not start on a byte, expanded at once into a
-    (count, w) float64 array ((count, 0) when every chunk is full).
+    Returns every chunk's bits as one (count, 16 n_chunks) byte array, row
+    i holding step i's bits in column order and chunk k's in its bytes
+    [16k, 16k + 16).  A partial last chunk's rows, which do not start on a
+    byte, are re-packed so that each does, into the first ceil(w / 8) of
+    its 16 bytes; the bytes past them are left unset and never read.
     """
-    n_full = n_traj // _CHUNK
-    bits = np.empty((count, n_full, _CHUNK // 8), np.uint8)
-    for k in range(n_full):
-        words = generators[k].bit_generator.random_raw(2 * count)
-        bits[:, k] = words.astype("<u8", copy=False).view(np.uint8).reshape(count, -1)
-    width = n_traj - n_full * _CHUNK
-    if not width:
-        return bits.reshape(count, -1), np.empty((count, 0))
-    n = count * width
-    words = generators[n_full].bit_generator.random_raw(-(-n // 64))
-    octets = words.astype("<u8", copy=False).view(np.uint8)[:-(-n // 8)]
-    kicks = np.take(table, octets, axis=0, mode="clip")
-    return bits.reshape(count, -1), kicks.reshape(-1)[:n].reshape(count, width)
+    bits = np.empty((count, len(generators), _CHUNK // 8), np.uint8)
+    for k, generator in enumerate(generators):
+        n = count * min(_CHUNK, n_traj - k * _CHUNK)
+        words = generator.bit_generator.random_raw(-(-n // 64))
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        if n < count * _CHUNK:
+            octets = np.packbits(np.unpackbits(octets, count=n).reshape(count, -1), axis=1)
+        bits[:, k, :octets.size // count] = octets.reshape(count, -1)
+    return bits.reshape(count, -1)
 
 
 def _expand_tile(table: np.ndarray, octets: np.ndarray, tile: np.ndarray):
-    """Expand the full chunks' bits of at most a tile's height of steps, a
-    row of `_draw_block`'s bytes a step, through `table` into the leading
-    rows of the reused float64 `tile`, in one `np.take`."""
+    """Expand at most a tile's height of steps of `_draw_block`'s bytes, a
+    row a step, through `table` into the leading rows of the reused float64
+    `tile`, in one `np.take`."""
     rows = tile[:octets.shape[0]]
     np.take(table, octets, 0, rows.reshape(*octets.shape, 8), "clip")
 
@@ -525,18 +520,20 @@ def check_protocol(schedule: ProtocolSchedule, params: EnsembleParams):
 
 def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
                 dt: float, kick: np.float32, x_max: float,
-                height: int) -> tuple[np.ndarray, list, list]:
+                height: int) -> tuple[np.ndarray, list]:
     """The coefficients of the `count` steps from step j, from the schedule
     at grid points j .. j + count.
 
     `drift` holds each step's drift factors -4a dt, 1 + 2b dt and c dt in a
-    row; `steps` holds, as Python bools, whether its c dt is non-zero and
-    whether it may leave the domain (`_may_leave_domain`).  `runs` cuts
-    [0, count) in order into runs (start, stop, rates).  Step i lies in
-    segment s when T_s <= t_i and t_{i+1} <= T_{s+1}; a run of segment s is
-    a longest stretch of its steps inside one tile of `height` steps from
-    the block's start, and takes the list rates[s], one object for all of s
-    and for the whole run, so a segment that crosses a tile or block edge
+    row.  `runs` cuts [0, count) in order into runs
+    (start, stop, rates, shifted, guarded).  Step i lies in segment s when
+    T_s <= t_i and t_{i+1} <= T_{s+1}; a run of segment s is a longest
+    stretch of its steps inside one tile of `height` steps from the block's
+    start on which two flags hold still: `shifted`, whether c dt is
+    non-zero, and `guarded`, whether a step may leave the domain
+    (`_may_leave_domain`), so both are exact for every step of the run.
+    It takes the list rates[s], one object for all of s and for the whole
+    run, so a segment that crosses a tile or block edge or a flag's change
     stays open across it.  A step that straddles a knot is a run of its
     own, with a fresh tuple of its increments of lambda(t) on the step grid.
     """
@@ -544,43 +541,44 @@ def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
     lam = schedule.coefficients_at(grid)
     a, b, c = lam[:-1].T
     drift = np.stack([-4.0 * a * dt, 1.0 + 2.0 * b * dt, c * dt], axis=1)
-    steps = list(zip((drift[:, 2] != 0.0).tolist(),
-                     _may_leave_domain(lam[:-1], dt, float(kick), x_max).tolist()))
+    shifted = drift[:, 2] != 0.0
+    guarded = _may_leave_domain(lam[:-1], dt, float(kick), x_max)
     first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
     last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
     segment = np.where(first == last, first, -1)     # -1 for a step across a knot
     edges = segment < 0
-    edges[1:] |= segment[1:] != segment[:-1]
+    for column in (segment, shifted, guarded):
+        edges[1:] |= column[1:] != column[:-1]
     edges[::height] = True
-    starts = np.flatnonzero(edges).tolist()
+    starts = np.flatnonzero(edges)
     increments = np.diff(lam, axis=0) * [1.0, -1.0, 1.0]
-    runs = [(start, stop, rates[s] if s >= 0 else tuple(increments[start].tolist()))
-            for start, stop, s in zip(starts, starts[1:] + [count],
-                                      segment[starts].tolist())]
-    return drift, steps, runs
+    runs = [(start, stop, rates[s] if s >= 0 else tuple(increments[start].tolist()), c, g)
+            for start, stop, s, c, g in zip(
+                starts.tolist(), [*starts[1:].tolist(), count], segment[starts].tolist(),
+                shifted[starts].tolist(), guarded[starts].tolist())]
+    return drift, runs
 
 
-def _step_block(x, works, sums, factors, steps, runs, table, bits, partial, tile,
-                rows, open_rates, x_max):
+def _step_block(x, works, sums, factors, runs, table, bits, tile, rows, open_rates,
+                x_max):
     """Step x in place through one noise block; return the rates of the
     segment left open and the number of positions the clamp moved.
 
     Euler-Maruyama: x <- x - V'(x) dt + sqrt(2 T dt) xi with xi = +-1, the
     drift step x (1 + 2b dt - 4a dt x^2) in Horner form, then x clamped to
     [-x_max, x_max].  The block goes run by run (`_block_plan`); a run that
-    starts on a tile edge first expands the next tile of the full chunks'
-    `bits` (`_expand_tile`).  Step i reads its drift factors through
-    `factors[i]`, 0-d views of the caller's copy of `_block_plan`'s drift,
-    and adds a row of `tile` (`rows`) to the full chunks' columns in place
-    and, when there is a partial chunk, its row of `partial` to the rest;
-    adding float64(+-kick) is what adding the float32 kick to x computes.
-    The clamp runs only on the steps `_block_plan` flags where
-    max x^2 >= x_max^2, which every step with a position outside the domain
-    meets, so the positions are those of clamping every step (the drift map
-    is increasing on the domain and the kick is exactly +-kick, so an
-    unflagged step cannot leave it; on the default erasure of the a = 1,
-    b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at ratio 4, the reach
-    is at most 2.8396 and no step is flagged).
+    starts on a tile edge first expands the next tile of `bits`
+    (`_expand_tile`).  Step i reads its drift factors through `factors[i]`,
+    0-d views of the caller's copy of `_block_plan`'s drift, and adds a row
+    of `tile`, viewed through `rows` as its first n_traj columns, to x in
+    place; adding float64(+-kick) is what adding the float32 kick to x
+    computes.  The clamp runs only on the steps of the runs `_block_plan`
+    guards where max x^2 >= x_max^2, which every step with a position
+    outside the domain meets, so the positions are those of clamping every
+    step (the drift map is increasing on the domain and the kick is exactly
+    +-kick, so an unguarded step cannot leave it; on the default erasure
+    of the a = 1, b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at
+    ratio 4, the reach is at most 2.8396 and no step is guarded).
 
     A step inside one linear segment of the schedule adds x^4, x^2 or x to
     the running `sums`, for each coefficient the segment varies; the sums
@@ -588,8 +586,6 @@ def _step_block(x, works, sums, factors, steps, runs, table, bits, partial, tile
     rates than `open_rates`, so a segment that crosses a tile or block edge
     is charged once, by a later run, block or the caller.
     """
-    full = x.size // _CHUNK * _CHUNK
-    head, tail = x[:full], x[full:]
     height = tile.shape[0]
     bound = x_max * x_max
     x2 = np.square(x)                      # the same product the last step left
@@ -600,7 +596,7 @@ def _step_block(x, works, sums, factors, steps, runs, table, bits, partial, tile
     # position past the domain's edge, which the guarded clamp moves and
     # squares again
     with np.errstate(over="ignore"):
-        for start, stop, r in runs:
+        for start, stop, r, shifted, guarded in runs:
             if r is not open_rates:
                 _charge_segment(works, sums, open_rates)
                 open_rates = r
@@ -608,20 +604,16 @@ def _step_block(x, works, sums, factors, steps, runs, table, bits, partial, tile
             offset = start % height
             if not offset:
                 _expand_tile(table, bits[start:start + height], tile)
-            tail_rows = partial[start:stop] if tail.size else repeat(None)
-            for (quartic, linear, shift), (shifted, guarded), row, tail_row in zip(
-                    factors[start:stop], steps[start:stop],
-                    rows[offset:offset + stop - start], tail_rows):
+            for (quartic, linear, shift), row in zip(factors[start:stop],
+                                                     rows[offset:offset + stop - start]):
                 np.multiply(x2, quartic, tmp)
                 tmp += linear
                 x *= tmp                       # x + dt (2b x - 4a x^3), by Horner
                 if shifted:
                     x -= shift
-                head += row                    # already scaled by the kick
-                if tail_row is not None:
-                    tail += tail_row
+                x += row                       # already scaled by the kick
                 np.square(x, x2)               # for the work below and the next drift
-                # only a flagged step can leave the domain; every |x| > x_max
+                # only a guarded step can leave the domain; every |x| > x_max
                 # has x^2 >= x_max^2 after rounding, so the clamp moves no
                 # position unless this trips; a NaN does not trip it
                 if guarded and np.maximum.reduce(x2) >= bound:
@@ -672,14 +664,15 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
 
     The steps go in blocks of 512, all on the calling thread; no other
     thread is started.  For each block it draws every chunk's bits
-    (`_draw_block`, 64 bytes a trajectory), plans the block's steps and its
-    runs of one set of work rates within one tile (`_block_plan`), steps it
-    run by run (`_step_block`), expanding the full chunks' bits a tile at a
-    time through a 256-row table of each byte's kicks into one reused
-    float64 tile of about 2^15 kicks (`_expand_tile`), whose row views are
-    made once per call, and checks its positions for a NaN
-    (`_check_finite`).  The coefficients are evaluated per block, so memory
-    does not grow with the step count (at most MAX_STEPS).
+    (`_draw_block`, 64 bytes a trajectory in whole 16-byte chunks), plans
+    its runs of one set of work rates and one pair of step flags within one
+    tile (`_block_plan`), steps it run by run (`_step_block`), expanding
+    its bits a tile at a time through a 256-row table of each byte's kicks
+    into one reused float64 tile of about 2^15 kicks with 128 columns a
+    chunk (`_expand_tile`), whose row views are made once per call, and
+    checks its positions for a NaN (`_check_finite`).  The coefficients are
+    evaluated per block, so memory does not grow with the step count (at
+    most MAX_STEPS).
     """
     check_protocol(schedule, params)
     dt = params.dt
@@ -697,13 +690,14 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     works = np.zeros(params.n_traj)
     kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
     table = _kick_table(kick)
-    # the full chunks' columns, in rows of about _TILE kicks: 128 rows at 256
-    # trajectories, 3 at 10^4, and one row past 2^15 columns
-    full = params.n_traj // _CHUNK * _CHUNK
-    tile = np.empty((max(1, _TILE // max(full, _CHUNK)), full))
-    # views made once, of the tile's rows and of each step's drift factors
-    # in `drift`: numpy reads a 0-d array faster than it converts a float
-    rows = list(tile)
+    # every chunk's 128 columns, in rows of about _TILE kicks: 128 rows at
+    # 256 trajectories, 3 at 10^4, and one row past 2^15 columns
+    width = n_chunks * _CHUNK
+    tile = np.empty((max(1, _TILE // width), width))
+    # views made once, of the tile rows' first n_traj columns and of each
+    # step's drift factors in `drift`: numpy reads a 0-d array faster than
+    # it converts a float
+    rows = [row[:params.n_traj] for row in tile]
     drift = np.empty((_NOISE_BLOCK, 3))
     factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
     # the clamp guard compares x^2 with x_max^2, and the no-escape rule
@@ -719,11 +713,11 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     open_rates = ()                        # the rates of the segment whose sums are open
     for j in range(0, n_steps, _NOISE_BLOCK):
         count = min(_NOISE_BLOCK, n_steps - j)
-        bits, partial = _draw_block(generators, count, params.n_traj, table)
-        drift[:count], steps, runs = _block_plan(schedule, rates, j, count, dt, kick,
-                                                 pot.x_max, tile.shape[0])
-        open_rates, hits = _step_block(x, works, sums, factors, steps, runs, table, bits,
-                                       partial, tile, rows, open_rates, pot.x_max)
+        bits = _draw_block(generators, count, params.n_traj)
+        drift[:count], runs = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max,
+                                          tile.shape[0])
+        open_rates, hits = _step_block(x, works, sums, factors, runs, table, bits, tile,
+                                       rows, open_rates, pot.x_max)
         clamp_hits += hits
         _check_finite(x, traj_seeds, j, j + count)
     _charge_segment(works, sums, open_rates)

@@ -39,8 +39,9 @@ def shannon_entropy(probabilities) -> float:
     if p.min() < -POLICY.support:
         raise ValueError(f"negative probability {p.min():.3e}")
     total = p.sum()
-    if abs(total - 1.0) > POLICY.povm:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails this
+    if not abs(total - 1.0) <= POLICY.povm:
+        raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
     return _entropy_from_eigenvalues(p)
 
 

@@ -90,7 +90,8 @@ def entropy_of_matrix(sigma: np.ndarray) -> float:
 # JSON wire format for matrices: {"dim": n, "re": [[...]], "im": [[...]]}
 
 def matrix_from_json(payload: dict) -> np.ndarray:
-    """Parse the matrix wire format, validating shape consistency."""
+    """Parse the matrix wire format, validating shape consistency and that
+    every entry is finite (Python's json reads NaN and Infinity)."""
     try:
         dim = int(payload["dim"])
         re = np.asarray(payload["re"], dtype=float)
@@ -100,4 +101,6 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise MalformedPayloadError(
             f"matrix payload shape mismatch: dim={dim}, re {re.shape}, im {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise MalformedPayloadError("matrix payload has a non-finite entry")
     return re + 1j * im

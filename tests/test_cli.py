@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -445,6 +446,33 @@ def test_output_onto_input_exits_2(tmp_path, monkeypatch, capsys, argv, victim, 
     assert (tmp_path / victim).read_bytes() == before
 
 
+@pytest.mark.parametrize("argv, code, csv_digest, json_digest", [
+    pytest.param(["--seed", "3", "--n-traj", "131", "--tau", "5"], 0,
+                 "612b51c92f9f1c7a", "f116f34a9dc32285", id="symmetric"),
+    pytest.param(["--seed", "7", "--n-traj", "131", "--tau", "5", "--ratio", "4"], 0,
+                 "b3f1fa9eab35b49b", "841751dd360e1f99", id="ratio-4"),
+    pytest.param(["--seed", "5", "--n-traj", "300", "--tau", "3", "--push-tilt", "150"], 1,
+                 "a6949208f44903ef", "cda9df3c4f4d6e73", id="push-tilt-clamped"),
+])
+def test_langevin_outputs_are_pinned(tmp_path, monkeypatch, argv, code, csv_digest,
+                                     json_digest):
+    """Whole `langevin` outputs, pinned by the first 16 hex digits of their
+    sha256: two runs with a partial chunk of width 3, and one whose clamp
+    fires 52 287 times and whose checks fail.
+
+    The digests were recorded with numpy 2.4.6 and Python 3.11.7. Langevin
+    bytes reproduce for a given numpy build and CPU SIMD level (README), so
+    another build may move them. A change that moves a digest on the
+    recorded build changes the outputs: it is a declared byte change
+    (ROADMAP item 15), never a reason to edit a digest quietly.
+    """
+    monkeypatch.chdir(tmp_path)
+    assert main(["langevin", *argv, "--out", "run.csv"]) == code
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+               for name in ("run.csv", "run.json")]
+    assert digests == [csv_digest, json_digest]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy serves the tests alone
     src = Path(infothermo.__file__).resolve().parents[1]
@@ -466,7 +494,7 @@ def case(argv, config, *, id, message=""):
 
 
 # Each of these once ended in a traceback (the first seventeen), with the
-# wrong exit code (the next five), sized its arrays from the input with no
+# wrong exit code (the next seven), sized its arrays from the input with no
 # cap (the next three), or gave a message that names no option (the last).
 # Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
@@ -505,6 +533,10 @@ REJECTED_INPUTS = [
     case(["sweep", "--grid", "0.1:0.9:5e-324"], None, id="sweep-subnormal-step"),
     case([*LANGEVIN, "--tau", "1e300", "--dt", "1e-300"], None,
          id="langevin-infinite-step-count"),
+    case(["qcmi", "--state", "state-nan.json", "--povm", "povm2.json"], None,
+         message="non-finite entry", id="qcmi-nan-state"),
+    case(["qcmi", "--state", "state2.json", "--povm", "povm-inf.json"], None,
+         message="non-finite entry", id="qcmi-infinite-povm"),
     case([*LANGEVIN, "--n-traj", "100001"], None, id="langevin-too-many-trajectories"),
     case([*LANGEVIN, "--tau", "1e5"], None, id="langevin-too-many-steps"),
     case([*VERIFY, "--n-steps", "100001"], None, id="verify-too-many-steps"),
@@ -519,6 +551,12 @@ def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     write_state(tmp_path / "state2.json", [0.5, 0.5])
     (tmp_path / "povm3.json").write_text(json.dumps(model_to_json(projective_model(3))))
+    # Python's json writes and reads NaN and Infinity
+    (tmp_path / "povm2.json").write_text(json.dumps(model_to_json(projective_model(2))))
+    write_state(tmp_path / "state-nan.json", [0.5, np.nan])
+    povm = model_to_json(projective_model(2))
+    povm["outcomes"][0]["operators"][0]["re"][1][1] = np.inf
+    (tmp_path / "povm-inf.json").write_text(json.dumps(povm))
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [*argv, "--config", "cfg.json"]

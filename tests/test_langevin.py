@@ -51,7 +51,7 @@ def segment_rates(schedule: ProtocolSchedule, dt: float) -> list:
 
 def tile_edge_schedule() -> ProtocolSchedule:
     """An 800-step schedule at dt = 1e-3 whose segments meet the 128-row
-    tiles of 256 to 383 trajectories and the 512-step noise blocks: knots
+    tiles of 129 to 256 trajectories and the 512-step noise blocks: knots
     on the step grid at steps 127, 128 (a tile edge) and 129, a knot inside
     step 256 (the first row of a tile), and a segment from step 257 to 699
     across the tile edge at 384, the block edge at 512 and the tile edge at
@@ -65,18 +65,37 @@ def tile_edge_schedule() -> ProtocolSchedule:
 
 
 def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
-    """Steps of a `simulate_erasure` run that the kernel's own `_block_plan`
-    flags, block by block, with the kernel's kick and domain end."""
+    """Steps of a `simulate_erasure` run in the runs that the kernel's own
+    `_block_plan` guards, block by block, with the kernel's kick and domain
+    end."""
     n_steps = round(schedule.duration / params.dt)
     kick = np.float32(np.sqrt(2.0 * params.temperature * params.dt))
     rates = segment_rates(schedule, params.dt)
     block = langevin._NOISE_BLOCK
     flagged = 0
     for j in range(0, n_steps, block):
-        _, steps, _ = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
-                                  kick, PotentialSpec.x_max, block)
-        flagged += sum(guarded for _, guarded in steps)
+        _, runs = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
+                              kick, PotentialSpec.x_max, block)
+        flagged += sum(stop - start for start, stop, *_, guarded in runs if guarded)
     return flagged
+
+
+def flag_cuts(schedule: ProtocolSchedule, runs: list, j: int, count: int, dt: float,
+              kick: np.float32, height: int) -> list:
+    """Assert that each run's flags equal every one of its steps' own, from
+    the step's c dt and `_may_leave_domain`, and that a run which follows
+    one of the same rates inside a tile differs from it in a flag; return
+    the steps where such runs start."""
+    lam = schedule.coefficients_at((j + np.arange(count + 1)) * dt)[:-1]
+    own = list(zip((lam[:, 2] * dt != 0.0).tolist(),
+                   _may_leave_domain(lam, dt, float(kick), PotentialSpec.x_max).tolist()))
+    cuts = []
+    for before, (start, stop, r, *flags) in zip([None] + runs[:-1], runs):
+        assert all(own[i] == tuple(flags) for i in range(start, stop))
+        if before is not None and before[2] is r and start % height:
+            assert list(before[3:]) != flags
+            cuts.append(j + start)
+    return cuts
 
 
 def quad_basin_weights(pot: PotentialSpec) -> tuple:
@@ -272,12 +291,14 @@ def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
             "clamp_hits": hits, "seeds": np.repeat(words, widths)}
 
 
-def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500) -> int:
+def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500,
+                                      push_tilt: float = None) -> int:
     """The blocked, tiled kernel against `stepwise_reference` on the ratio-4
-    erasure; returns the reference's clamp hits."""
+    erasure, with its default push tilt or `push_tilt`; returns the
+    reference's clamp hits."""
     pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
     params = EnsembleParams(n_traj=n_traj, seed=5, dt=1e-3)
-    sched = erasure_protocol_schedule(pot, n_steps * params.dt)
+    sched = erasure_protocol_schedule(pot, n_steps * params.dt, push_tilt)
     assert round(sched.duration / params.dt) == n_steps
     ens = simulate_erasure(pot, sched, params)
     ref = stepwise_reference(pot, sched, params)
@@ -429,6 +450,12 @@ class TestEnsembleParams:
         with pytest.raises(ValueError, match="temperature must be positive"):
             EnsembleParams(n_traj=8, seed=0, temperature=temperature)
 
+    @pytest.mark.parametrize("weights", [(np.nan, np.nan), (0.5, np.nan), (np.inf, -np.inf),
+                                         (0.5,), (1.2, -0.2)])
+    def test_rejects_weights_that_are_not_a_distribution(self, weights):
+        with pytest.raises(ValueError, match="two-entry distribution"):
+            EnsembleParams(n_traj=8, seed=0, initial_weights=weights)
+
 
 class TestSimulation:
     def test_frozen_protocol_zero_work(self):
@@ -460,12 +487,17 @@ class TestSimulation:
         # past it, and two blocks
         assert_matches_stepwise_reference(130, n_steps)
 
-    @pytest.mark.parametrize("n_traj", [1, 127, 128, 129, 256])
+    @pytest.mark.parametrize("n_traj", [1, 127, 128, 129, 256, 263])
     def test_matches_stepwise_reference_across_tile_edges(self, n_traj):
         # a partial chunk alone, one full chunk with and without a partial
-        # one, and two full chunks, whose tile of 256 or 128 rows ends
-        # inside every block of 512, 512 and 176 steps
+        # one, two full chunks, and two with a partial one of width 7,
+        # whose tile of 256, 128 or 85 rows ends inside each 512-step block
         assert_matches_stepwise_reference(n_traj, 1200)
+
+    def test_matches_stepwise_reference_with_the_clamp_firing(self):
+        # a push tilt of 150 drives positions past the domain's left end:
+        # the guard flag changes inside segments, and the clamp must fire
+        assert assert_matches_stepwise_reference(130, 3000, push_tilt=150.0) > 0
 
     def test_clamp_guard_matches_clamping_every_step(self, monkeypatch):
         # a domain of +-1.95 cuts the wells at +-1.80 close: the clamp fires
@@ -482,31 +514,24 @@ class TestSimulation:
         # a NaN kick makes max(x^2) NaN, which does not trip the guard; the
         # NaN must survive the step loop and be reported, not clamped away,
         # with the steps of the block it appeared in: the only block, the
-        # last of two, the middle of three; the NaN comes once through the
-        # first tile a block expands for the full chunks, at step 3, and
-        # once through the partial chunk's kicks of that step
-        draw, expand = langevin._draw_block, langevin._expand_tile
+        # last of two, the middle of three; the NaN comes through the first
+        # tile a block expands, at step 3, in a full chunk's column and in
+        # the partial chunk's
+        expand = langevin._expand_tile
         pot = symmetric_double_well()
         for duration, block, steps in ((0.1, 0, "[0, 100)"), (0.8, 1, "[512, 800)"),
                                        (1.2, 1, "[512, 1024)")):
             for n_traj, column in ((130, 5), (133, 129)):
-                drawn, tiles = [], []
-
-                def nan_draw(*args):
-                    drawn.append(args)
-                    tiles.clear()
-                    bits, partial = draw(*args)
-                    if len(drawn) == block + 1 and column >= 128:
-                        partial[3, column - 128] = np.nan
-                    return bits, partial
+                tiles = []
 
                 def nan_tile(table, octets, tile):
+                    # two chunks' 256 columns take tiles of 128 rows, four a block
+                    assert tile.shape == (128, 256)
                     tiles.append(octets)
                     expand(table, octets, tile)
-                    if len(drawn) == block + 1 and len(tiles) == 1 and column < 128:
+                    if len(tiles) == 4 * block + 1:
                         tile[3, column] = np.nan
 
-                monkeypatch.setattr(langevin, "_draw_block", nan_draw)
                 monkeypatch.setattr(langevin, "_expand_tile", nan_tile)
                 with pytest.raises(FloatingPointError, match=rf"trajectory {column} .* "
                                    r"diverged in steps " + re.escape(steps) + "$"):
@@ -539,11 +564,11 @@ class TestSimulation:
             assert np.abs(ens.works - ref["per_step_works"]).max() <= 1e-10
             assert np.array_equal(ens.works, ref["works"])
 
-    @pytest.mark.parametrize("n_traj", [256, 300])
+    @pytest.mark.parametrize("n_traj", [200, 256, 300])
     def test_runs_match_stepwise_reference_at_tile_and_block_edges(self, n_traj):
-        # tiles of 128 rows, without and with a partial chunk: a segment
-        # charged at a tile edge, or a tile not refilled where a run starts
-        # on its edge, changes the bytes
+        # tiles of 128 rows with and without a partial chunk, and of 85
+        # rows with one: a segment charged at a tile edge, or a tile not
+        # refilled where a run starts on its edge, changes the bytes
         pot = symmetric_double_well()
         sched = tile_edge_schedule()
         params = EnsembleParams(n_traj=n_traj, seed=29)
@@ -561,22 +586,24 @@ class TestSimulation:
         grid = np.arange(801) * dt
         starts, straddles, last = [], [], None
         for j, count in ((0, 512), (512, 288)):
-            drift, steps, runs = _block_plan(sched, rates, j, count, dt, kick,
-                                             PotentialSpec.x_max, height)
-            assert drift.shape == (count, 3) and len(steps) == count
+            drift, runs = _block_plan(sched, rates, j, count, dt, kick, PotentialSpec.x_max,
+                                      height)
+            assert drift.shape == (count, 3)
+            flag_cuts(sched, runs, j, count, dt, kick, height)
             # the runs cover [0, count) in order, each inside one tile
             assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
             assert runs[-1][1] == count
-            for start, stop, r in runs:
+            for start, stop, r, *flags in runs:
                 assert start < stop and start // height == (stop - 1) // height
                 inside = [s for s in range(len(rates)) if sched.times[s] <= grid[j + start]
                           and grid[j + stop] <= sched.times[s + 1]]
                 if inside:
                     # a run inside segment s carries rates[s] itself, and a
-                    # run of the same rates before it ends on a tile edge
+                    # run of the same rates before it ends on a tile edge or
+                    # where a flag flips
                     assert r is rates[inside[0]]
                     if last is not None and last[2] is r:
-                        assert (j + start) % height == 0
+                        assert (j + start) % height == 0 or last[3:] != tuple(flags)
                 else:
                     # a step across a knot is a run of its own, with its own
                     # grid increments in a fresh tuple
@@ -585,11 +612,33 @@ class TestSimulation:
                     assert r == tuple((np.diff(lam, axis=0)[0] * [1.0, -1.0, 1.0]).tolist())
                     straddles.append(j + start)
                 starts.append(j + start)
-                last = (start, stop, r)
+                last = (start, stop, r, *flags)
         assert straddles == [256]
         assert {127, 128, 129, 256, 257, 384, 512, 640, 700} <= set(starts)
         # the segment across step 512 stays one set of rates in both blocks
         assert 513 not in starts
+
+    @pytest.mark.parametrize("push_tilt, cuts", [(150.0, [1381, 2234, 2830]),
+                                                 (None, [1381])])
+    def test_block_plan_cuts_runs_where_a_flag_flips(self, push_tilt, cuts):
+        # the symmetric erasure at tau = 3 in the 85-row tiles of 300
+        # trajectories: c dt turns non-zero at step 1381, inside the first
+        # push segment, and a push tilt of 150 also guards steps 2234 to
+        # 2829, inside one segment and across tile and block edges
+        pot = symmetric_double_well()
+        sched = erasure_protocol_schedule(pot, 3.0, push_tilt)
+        dt, height = 1e-3, langevin._TILE // 384
+        rates = segment_rates(sched, dt)
+        kick = np.float32(np.sqrt(2.0 * dt))
+        found, guarded = [], 0
+        for j in range(0, 3000, 512):
+            count = min(512, 3000 - j)
+            _, runs = _block_plan(sched, rates, j, count, dt, kick, PotentialSpec.x_max,
+                                  height)
+            found += flag_cuts(sched, runs, j, count, dt, kick, height)
+            guarded += sum(stop - start for start, stop, *_, g in runs if g)
+        assert found == cuts
+        assert guarded == (596 if push_tilt else 0)
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk; 300 are three, drawn one after
@@ -644,9 +693,8 @@ class TestSimulation:
         sched = erasure_protocol_schedule(pot, 1.5)
         kick = np.float32(np.sqrt(2.0e-3))
         rates = segment_rates(sched, 1e-3)
-        _, _, runs0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max, 128)
-        _, _, runs1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max,
-                                  128)
+        _, runs0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max, 128)
+        _, runs1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max, 128)
         assert runs0[-1][1] == 512 and runs1[0][0] == 0
         assert runs0[-1][2] is runs1[0][2]
         assert runs0[-1][2] is rates[np.searchsorted(sched.times, 0.512) - 1]
@@ -715,16 +763,16 @@ class TestNoiseFill:
 
     def expand(self, gens, n_traj, count, height):
         """One block drawn by `_draw_block` and expanded by `_expand_tile`,
-        a tile of `height` rows at a time, beside the partial chunk's kicks,
-        as a (count, n_traj) array."""
+        a tile of `height` rows at a time, each row trimmed to its first
+        n_traj columns, as a (count, n_traj) array."""
         table = _kick_table(self.kick)
-        bits, partial = _draw_block(gens, count, n_traj, table)
-        tile = np.full((height, n_traj // 128 * 128), np.nan)
-        full = []
+        bits = _draw_block(gens, count, n_traj)
+        tile = np.full((height, -(-n_traj // 128) * 128), np.nan)
+        rows = []
         for t in range(0, count, height):
             _expand_tile(table, bits[t:t + height], tile)
-            full.append(tile[:min(height, count - t)].copy())
-        return np.hstack([np.vstack(full), partial])
+            rows.append(tile[:min(height, count - t), :n_traj].copy())
+        return np.vstack(rows)
 
     def fill(self, seed, n_traj, count=1024, height=100):
         gens = [np.random.Generator(np.random.SFC64(s))
@@ -757,8 +805,8 @@ class TestNoiseFill:
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 127, 128])
     def test_byte_table_matches_bit_reference(self, width):
         # chunk 0 is full and chunk 1 has the width under test, drawn in
-        # one call, so a width under 128 is expanded as the partial chunk
-        # beside chunk 0's tile; tiles of 3, 100 and 256 rows, the first
+        # one call, so a width under 128 is the partial chunk, re-packed
+        # into its 16 bytes a step; tiles of 3, 100 and 256 rows, the first
         # two not dividing 512, and of one row
         def streams():
             return [np.random.Generator(np.random.SFC64(s))

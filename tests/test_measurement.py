@@ -46,6 +46,12 @@ class TestShannon:
         with pytest.raises(ValueError):
             shannon_entropy([1.1, -0.1])
 
+    @pytest.mark.parametrize("p", [[0.5, np.nan], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, p):
+        # a NaN trips no comparison: [0.5, nan] once gave 0.3466 nats
+        with pytest.raises(ValueError, match="probabilities sum to (nan|inf)"):
+            shannon_entropy(p)
+
 
 class TestMeasurementModel:
     def test_incomplete_povm_rejected(self):

@@ -3,6 +3,7 @@ import pytest
 
 from infothermo.operators import (
     DensityOperator,
+    MalformedPayloadError,
     matrix_from_json,
     temperature_value,
     von_neumann_entropy,
@@ -161,3 +162,11 @@ class TestMatrixJson:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="malformed"):
             matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})
+
+    @pytest.mark.parametrize("part, value", [("re", np.nan), ("im", np.inf)])
+    def test_non_finite_entry(self, part, value):
+        # Python's json reads NaN and Infinity, which no later check trips
+        payload = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        payload[part][1][1] = value
+        with pytest.raises(MalformedPayloadError, match="non-finite entry"):
+            matrix_from_json(payload)
