@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -33,7 +33,7 @@ from .langevin import (
 from .measurement import (
     model_from_json, outcome_statistics, qc_mutual_information, shannon_entropy,
 )
-from .memory import two_branch_layout
+from .memory import free_energy_change, two_branch_layout
 from .numerics import POLICY
 from .operators import (
     DensityOperator, MalformedPayloadError, matrix_from_json, temperature_value,
@@ -271,7 +271,7 @@ def cmd_verify_bounds(config: dict) -> int:
     meas_rows = measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
     eras_rows = erasure_bound_suite(seed + 1, n, n_steps=n_steps, temperature=temp)
     fuzz_rows = erasure_bound_suite(seed + 2, n, fuzz=True, temperature=temp)
-    szilard = {f"t={t}": szilard_reconciliation(t, temp).to_json() for t in (0.5, 0.8)}
+    szilard = {f"t={t}": asdict(szilard_reconciliation(t, temp)) for t in (0.5, 0.8)}
 
     # every checked margin with the name that replays it
     suites = (("measurement", meas_rows, "measurement_margin"),
@@ -364,7 +364,8 @@ def cmd_langevin(config: dict) -> int:
         check_protocol(schedule, params)
 
     ensemble = simulate_erasure(pot, schedule, params)
-    bound = temp * shannon_entropy(params.initial_weights) - eq.delta_f
+    delta_f = free_energy_change((eq.f_left, eq.f_right), params.initial_weights)
+    bound = temp * shannon_entropy(params.initial_weights) - delta_f
     landauer_margin = ensemble.mean_work - bound
     # the erasure bound applies to completed resets only
     completed = ensemble.success_fraction >= 0.99
@@ -382,9 +383,9 @@ def cmd_langevin(config: dict) -> int:
         "clamp_hits": ensemble.clamp_hits,
         "erasure_bound": bound,
         "landauer_margin": landauer_margin,
-        "delta_f_memory": eq.delta_f,
+        "delta_f_memory": delta_f,
         "equilibrium_left_weight": eq.p_eq_left,
-        "jarzynski": jz.to_json(),
+        "jarzynski": asdict(jz),
         "jarzynski_gated": je_gated,
     }
     # the summary goes first: a finite mean has only finite works behind it,

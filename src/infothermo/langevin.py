@@ -100,13 +100,12 @@ def require_barrier(pot: PotentialSpec, temperature: float,
 
 @dataclass(frozen=True)
 class BasinFreeEnergies:
-    """Quadrature free energies of the two basins and the derived asymmetry."""
+    """Quadrature free energies of the two basins and the left basin's
+    equilibrium weight."""
 
     f_left: float
     f_right: float
     p_eq_left: float
-    delta_f: float
-    barrier_top: float
 
 
 def _basin_window(pot: PotentialSpec, lo: float, hi: float, points: np.ndarray,
@@ -152,9 +151,6 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
     panels is an always-on cross-check: an ArithmeticError is raised when
     Z_k is not positive and finite, or when the two differ by more than
     1e-8 relative.
-
-    delta_f is the outcome-averaged free-energy change for equal outcome
-    weights with the left basin as the standard state.
     """
     require_barrier(pot, temperature, factor=barrier_factor)
     top = pot.barrier_top()
@@ -173,14 +169,11 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
                                   f"by {abs(z - coarse) / z:.1e} relative, beyond 1e-8")
         free.append(v_min - temperature * np.log(z))
     f_left, f_right = free
-    delta_f = 0.5 * (f_left + f_right) - f_left
     return BasinFreeEnergies(
         f_left=float(f_left),
         f_right=float(f_right),
         # Z_left / (Z_left + Z_right), without forming either Z
         p_eq_left=float(np.exp(-np.logaddexp(0.0, (f_left - f_right) / temperature))),
-        delta_f=float(delta_f),
-        barrier_top=top,
     )
 
 
@@ -299,24 +292,28 @@ def erasure_protocol_schedule(pot: PotentialSpec, duration: float,
     a, b, c0 = pot.coefficients
     if push_tilt is None:
         push_tilt = 4.0 * a * (b / (2.0 * a)) ** 1.5
-    # stage ends as fractions of the duration: equalize, drop, push, restore
-    f1, f2, f3, f4 = 0.04, 0.46, 0.88, 0.95
-    times = [0.0, f1]
-    knots = [[a, b, c0], [a, b, 0.0]]
-    # barrier drop graded as b ~ (1-u)^2 so the well positions (at +-sqrt(b/2a))
-    # travel at constant speed instead of collapsing singularly at the merge
-    grade = np.linspace(0.0, 1.0, 9)[1:]
-    for u in grade:
-        times.append(f1 + (f2 - f1) * u)
-        knots.append([a, b * (1.0 - u) ** 2, 0.0])
-    # tilt graded as c ~ u^3 so the single-well minimum (at -(c/4a)^(1/3))
-    # departs at constant speed
-    for u in grade:
-        times.append(f2 + (f3 - f2) * u)
-        knots.append([a, 0.0, push_tilt * u ** 3])
-    # barrier restore along c = push (1 - b/b0): the left minimum stays fixed
-    times.extend([f4, 1.0])
-    knots.extend([[a, b, 0.0], [a, b, c0]])
+    graded = np.linspace(0.0, 1.0, 9)[1:]
+    # one row a stage: its end as a fraction of the duration, its grade of
+    # points u in (0, 1] and its knot at u, placed at start + (end - start) u
+    stages = (
+        (0.04, (1.0,), lambda u: [a, b, 0.0]),                  # equalize
+        # barrier drop graded as b ~ (1-u)^2 so the well positions (at
+        # +-sqrt(b/2a)) travel at constant speed instead of collapsing
+        # singularly at the merge
+        (0.46, graded, lambda u: [a, b * (1.0 - u) ** 2, 0.0]),  # drop
+        # tilt graded as c ~ u^3 so the single-well minimum (at
+        # -(c/4a)^(1/3)) departs at constant speed
+        (0.88, graded, lambda u: [a, 0.0, push_tilt * u ** 3]),  # push
+        # barrier restore along c = push (1 - b/b0): the left minimum stays fixed
+        (0.95, (1.0,), lambda u: [a, b, 0.0]),                  # restore
+        (1.0, (1.0,), lambda u: [a, b, c0]),                    # re-tilt
+    )
+    times, knots, start = [0.0], [[a, b, c0]], 0.0
+    for end, grade, knot in stages:
+        for u in grade:
+            times.append(start + (end - start) * u)
+            knots.append(knot(u))
+        start = end
     return ProtocolSchedule(duration, np.array(times) * duration, np.array(knots))
 
 
@@ -745,17 +742,6 @@ class JarzynskiReport:
     effective_sample_size: float
     flagged: bool            # |z| > 3
     low_ess_warning: bool    # effective sample size < 10
-
-    def to_json(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "expected": self.expected,
-            "stderr": self.stderr,
-            "z_score": self.z_score,
-            "effective_sample_size": self.effective_sample_size,
-            "flagged": self.flagged,
-            "low_ess_warning": self.low_ess_warning,
-        }
 
 
 _BOOTSTRAP = 200

@@ -133,11 +133,11 @@ class OutcomeStatistics:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         if abs(p.sum() - 1.0) > POLICY.povm:
-            raise ValueError(f"outcome probabilities sum to {p.sum()!r}")
+            raise ValueError(f"outcome probabilities sum to {float(p.sum())!r}")
         for k, pk in enumerate(p):
             tr = np.trace(self.sigma[k]).real
             if abs(tr - pk) > POLICY.povm:
-                raise ValueError(f"outcome {k}: tr(sigma) {tr!r} != p {pk!r}")
+                raise ValueError(f"outcome {k}: tr(sigma) {float(tr)!r} != p {float(pk)!r}")
 
 
 def outcome_statistics(rho: DensityOperator, model: MeasurementModel) -> OutcomeStatistics:
@@ -176,7 +176,7 @@ def qc_mutual_information(rho: DensityOperator, model: MeasurementModel) -> floa
     alt = s_rho - conditional
     if abs(info - alt) > POLICY.identity:
         raise ArithmeticError(
-            f"mutual-information routes disagree: {info!r} vs {alt!r}")
+            f"mutual-information routes disagree: {float(info)!r} vs {float(alt)!r}")
     return info
 
 

@@ -7,7 +7,7 @@ measurement and erasure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,11 @@ class MemoryLayout:
         offsets = np.cumsum((0,) + self.branch_dims)
         return [slice(offsets[k], offsets[k + 1]) for k in range(self.outcome_count)]
 
-    def branch_free_energies(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Branch partition functions Z_k and free energies F_k = -t ln Z_k
-        at a validated temperature t."""
+    def branch_free_energies(self, t: float) -> np.ndarray:
+        """Branch free energies F_k = -t ln Z_k, Z_k the branch partition
+        function, at a validated temperature t."""
         z = np.array([np.sum(np.exp(-e / t)) for e in self.energies])
-        return z, -t * np.log(z)
+        return -t * np.log(z)
 
 
 def two_branch_layout(energy_gap: float) -> MemoryLayout:
@@ -99,15 +99,15 @@ def random_layout(rng: np.random.Generator) -> MemoryLayout:
     return MemoryLayout(tuple(blocks))
 
 
-def free_energy_change(layout: MemoryLayout, temperature, probabilities) -> float:
-    """Outcome-averaged free-energy change sum_k p_k F_k - F_0, with the
-    branch free energies F_k = -T ln Z_k."""
-    t = temperature_value(temperature)
+def free_energy_change(free_energies, probabilities) -> float:
+    """Outcome-averaged free-energy change sum_k p_k F_k - F_0 of a memory
+    whose outcome k has the branch (or basin) free energy F_k; outcome 0 is
+    the standard state."""
+    f = np.asarray(free_energies, dtype=float)
     p = np.asarray(probabilities, dtype=float)
-    if p.size != layout.outcome_count:
+    if p.size != f.size:
         raise ValueError("probability vector length must match the outcome count")
     shannon_entropy(p)  # validates the distribution
-    _, f = layout.branch_free_energies(t)
     return float(p @ f - f[0])
 
 
@@ -124,7 +124,8 @@ _TAGS = (MEASUREMENT_BOUND, ERASURE_BOUND, SUM_BOUND, RECONCILIATION_BOUND)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality: lhs, rhs, satisfaction margin and flag.
+    """One verified inequality: lhs, rhs, and the margin and flag derived
+    from them.
 
     margin is the satisfaction slack: lhs - rhs for the three >=-type bounds
     (measurement, erasure, sum), rhs - lhs for the reconciliation bound,
@@ -134,27 +135,15 @@ class BoundReport:
     tag: str
     lhs: float
     rhs: float
-    margin: float
-    satisfied: bool
+    margin: float = field(init=False)
+    satisfied: bool = field(init=False)
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown bound tag {self.tag!r}")
-        expected = self.margin >= -POLICY.bound
-        if self.satisfied != expected:
-            raise ValueError("satisfied flag inconsistent with margin")
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-        }
-
-
-def bound_report(tag: str, lhs: float, rhs: float) -> BoundReport:
-    slack = (rhs - lhs) if tag == RECONCILIATION_BOUND else (lhs - rhs)
-    return BoundReport(tag=tag, lhs=float(lhs), rhs=float(rhs),
-                       margin=float(slack), satisfied=bool(slack >= -POLICY.bound))
+        lhs, rhs = float(self.lhs), float(self.rhs)
+        margin = (rhs - lhs) if self.tag == RECONCILIATION_BOUND else (lhs - rhs)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "satisfied", margin >= -POLICY.bound)

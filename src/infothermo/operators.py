@@ -44,7 +44,7 @@ class DensityOperator:
         m = (m + m.conj().T) / 2
         tr = np.trace(m).real
         if abs(tr - 1.0) > POLICY.validation:
-            raise ValueError(f"state trace {tr!r} differs from 1 beyond tolerance")
+            raise ValueError(f"state trace {float(tr)!r} differs from 1 beyond tolerance")
         vals, vecs = np.linalg.eigh(m)
         if vals.min() < -POLICY.validation:
             raise ValueError(f"state has negative eigenvalue {vals.min():.3e}")

@@ -32,7 +32,6 @@ from .memory import (
     SUM_BOUND,
     BoundReport,
     MemoryLayout,
-    bound_report,
     free_energy_change,
     random_layout,
     twobox_layout,
@@ -213,7 +212,7 @@ def _alignment_shifts(layout: MemoryLayout, t: float, p: np.ndarray,
     Branch 0 is the reference (shift 0).  Empty branches are parked at the
     cap directly.
     """
-    _, f = layout.branch_free_energies(t)
+    f = layout.branch_free_energies(t)
     shifts = np.zeros(layout.outcome_count)
     for k in range(1, layout.outcome_count):
         if p[k] <= 1e-15:
@@ -267,8 +266,8 @@ def run_erasure_protocol(layout: MemoryLayout, temperature, branch_weights,
             f"residual probability {residual:.3e} outside the standard branch "
             f"exceeds {EPS_RESIDUAL:.1e}")
 
-    rhs = t * shannon_entropy(p) - free_energy_change(layout, t, p)
-    return record, bound_report(ERASURE_BOUND, record.work, rhs)
+    rhs = t * shannon_entropy(p) - free_energy_change(layout.branch_free_energies(t), p)
+    return record, BoundReport(ERASURE_BOUND, record.work, rhs)
 
 
 def measurement_transport_schedule(layout: MemoryLayout, temperature, outcome: int,
@@ -346,8 +345,8 @@ def run_measurement_process(layout: MemoryLayout, temperature,
 
     h = shannon_entropy(probs)
     info = qc_mutual_information(rho_s, model)
-    rhs = -t * (h - info) + free_energy_change(layout, t, probs)
-    return record, bound_report(MEASUREMENT_BOUND, record.work, rhs), info
+    rhs = -t * (h - info) + free_energy_change(layout.branch_free_energies(t), probs)
+    return record, BoundReport(MEASUREMENT_BOUND, record.work, rhs), info
 
 
 def verify_sum_bound(meas: ProtocolRecord, eras: ProtocolRecord, info: float,
@@ -365,7 +364,7 @@ def verify_sum_bound(meas: ProtocolRecord, eras: ProtocolRecord, info: float,
     p_eras = eras.branch_weights("initial")
     if np.max(np.abs(p_meas - p_eras)) > 1e-6:
         raise ValueError("erasure initial weights differ from measurement outcome weights")
-    return bound_report(SUM_BOUND, meas.work + eras.work, t * info)
+    return BoundReport(SUM_BOUND, meas.work + eras.work, t * info)
 
 
 def reconcile_demon(w_extracted: float, delta_f_system: float,
@@ -375,7 +374,7 @@ def reconcile_demon(w_extracted: float, delta_f_system: float,
     lhs = W_ext^S - W_meas - W_eras must not exceed rhs = -dF^S.
     """
     lhs = w_extracted - meas.work - eras.work
-    return bound_report(RECONCILIATION_BOUND, lhs, -delta_f_system)
+    return BoundReport(RECONCILIATION_BOUND, lhs, -delta_f_system)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import infothermo
 from infothermo import cli
 from infothermo.cli import main
-from infothermo.memory import RECONCILIATION_BOUND, bound_report
+from infothermo.memory import RECONCILIATION_BOUND, BoundReport
 
 from builders import matrix_to_json, model_to_json, projective_model, trivial_model
 
@@ -64,7 +64,7 @@ class TestQcmi:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
-    def test_invalid_state_exits_1(self, tmp_path):
+    def test_invalid_state_exits_1(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         write_state(state, [0.8, 0.8])  # trace 1.6
         povm = tmp_path / "povm.json"
@@ -72,6 +72,10 @@ class TestQcmi:
         code = main(["qcmi", "--state", str(state), "--povm", str(povm),
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
+        err = capsys.readouterr().err
+        assert "state trace 1.6 differs" in err
+        assert "np.float64" not in err
+        assert "state trace 1.6 differs" in json.loads((tmp_path / "r.json").read_text())["error"]
 
     def test_malformed_povm_payload_exits_2(self, tmp_path):
         state = tmp_path / "state.json"
@@ -179,7 +183,7 @@ class TestVerifyBounds:
     def test_szilard_violation_names_its_t(self, tmp_path, monkeypatch, capsys):
         reconcile = cli.szilard_reconciliation
         monkeypatch.setattr(cli, "szilard_reconciliation", lambda t, temp: (
-            bound_report(RECONCILIATION_BOUND, 1.0, 0.0) if t == 0.8 else reconcile(t, temp)))
+            BoundReport(RECONCILIATION_BOUND, 1.0, 0.0) if t == 0.8 else reconcile(t, temp)))
         assert main(["verify-bounds", "--seed", "5", "--instances", "2",
                      "--out", str(tmp_path / "b.json")]) == 1
         assert "replay: szilard t=0.8\n" in capsys.readouterr().err
@@ -471,6 +475,31 @@ def test_langevin_outputs_are_pinned(tmp_path, monkeypatch, argv, code, csv_dige
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                for name in ("run.csv", "run.json")]
     assert digests == [csv_digest, json_digest]
+
+
+@pytest.mark.parametrize("argv, digests", [
+    pytest.param(["verify-bounds", "--seed", "3", "--instances", "5", "--out", "b.json",
+                  "--convergence-out", "c.csv"],
+                 {"b.json": "1a765970a9cb6017", "c.csv": "0342b89ff4849208"},
+                 id="verify-bounds"),
+    pytest.param(["twobox", "--t", "0.8", "--out", "tb.json"],
+                 {"tb.json": "845bfd778f96c0b3"}, id="twobox"),
+    pytest.param(["sweep", "--grid", "0.1:0.9:0.1", "--out", "sw.csv"],
+                 {"sw.csv": "175c86e35882e5fe"}, id="sweep"),
+])
+def test_protocol_outputs_are_pinned(tmp_path, monkeypatch, argv, digests):
+    """Whole outputs of the protocol engine and the two-box closed forms,
+    pinned by the first 16 hex digits of their sha256: the bound reports,
+    their free-energy changes and their serialization.
+
+    The digests were recorded with numpy 2.4.6 and Python 3.11.7. A change
+    that moves a digest on the recorded build changes the outputs: it is a
+    declared byte change, never a reason to edit a digest quietly.
+    """
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in digests} == digests
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import re
 import threading
@@ -31,6 +33,8 @@ from infothermo.langevin import (
     symmetric_double_well,
     tune_tilt_for_ratio,
 )
+from infothermo.measurement import shannon_entropy
+from infothermo.memory import free_energy_change
 
 from builders import schedule_to_json
 
@@ -337,19 +341,21 @@ class TestBasinFreeEnergies:
     def test_symmetric(self):
         r = basin_free_energies(symmetric_double_well(), 1.0)
         assert r.f_left == pytest.approx(r.f_right, abs=1e-10)
-        assert r.delta_f == pytest.approx(0.0, abs=1e-10)
+        assert free_energy_change((r.f_left, r.f_right), (0.5, 0.5)) == pytest.approx(
+            0.0, abs=1e-10)
         assert r.p_eq_left == pytest.approx(0.5, abs=1e-10)
 
     def test_tuned_ratio_four(self):
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0, 1.0)
         r = basin_free_energies(pot, 1.0)
         assert r.p_eq_left == pytest.approx(0.8, abs=1e-9)
-        assert r.delta_f == pytest.approx(0.5 * np.log(4.0), abs=1e-8)
+        assert free_energy_change((r.f_left, r.f_right), (0.5, 0.5)) == pytest.approx(
+            0.5 * np.log(4.0), abs=1e-8)
 
     def test_quadrature_against_trapezoid(self):
         pot = tune_tilt_for_ratio(1.0, 6.5, 2.5, 1.0)
         r = basin_free_energies(pot, 1.0)
-        xs = np.linspace(pot.x_min, r.barrier_top, 20001)
+        xs = np.linspace(pot.x_min, pot.barrier_top(), 20001)
         z_left = np.trapezoid(np.exp(-pot.value(xs)), xs)
         assert np.exp(-r.f_left) == pytest.approx(z_left, rel=1e-6)
 
@@ -424,6 +430,29 @@ class TestBasinFreeEnergies:
         eq = basin_free_energies(symmetric_double_well())
         assert reset_free_energy(eq) == pytest.approx(LN2, abs=1e-9)
 
+    @pytest.mark.parametrize("p_left, expected", [
+        (0.2, -0.6086), (0.5, 0.0), (0.8, 0.2231), (0.95, 0.1292)])
+    def test_erasure_bound_at_any_weight(self, p_left, expected):
+        # T H(p) - dF(p) on the ratio-4 memory leaves Landauer's T ln 2 and
+        # turns negative where the small basin holds most of the weight
+        pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
+        r = basin_free_energies(pot, 1.0)
+        weights = (p_left, 1.0 - p_left)
+        delta_f = free_energy_change((r.f_left, r.f_right), weights)
+        assert shannon_entropy(weights) - delta_f == pytest.approx(expected, abs=5e-5)
+        (z_left, _), (z_right, _) = quad_basin_weights(pot)
+        oracle = weights[1] * (np.log(z_left) - np.log(z_right))
+        assert abs(delta_f - oracle) <= 1e-8
+
+    @pytest.mark.parametrize("ratio", [1.0, 4.0])
+    def test_equal_weight_free_energy_change_is_the_midpoint(self, ratio):
+        # halving is exact, so p = 1/2 gives the bits of 0.5 (F_l + F_r) - F_l
+        pot = (symmetric_double_well() if ratio == 1.0
+               else tune_tilt_for_ratio(1.0, 6.5, ratio))
+        r = basin_free_energies(pot, 1.0)
+        assert (free_energy_change((r.f_left, r.f_right), (0.5, 0.5))
+                == 0.5 * (r.f_left + r.f_right) - r.f_left)
+
 
 class TestSchedule:
     def test_json_round_trip(self):
@@ -442,6 +471,36 @@ class TestSchedule:
         sched = erasure_protocol_schedule(pot, 10.0)
         assert np.allclose(sched.knots[0], pot.coefficients)
         assert np.allclose(sched.knots[-1], pot.coefficients)
+
+    def test_default_protocol_is_pinned(self):
+        """The default schedule's times and knots, bit for bit: the first 16 hex
+        digits of the sha256 of times.tobytes() + knots.tobytes(), recorded
+        with numpy 2.4.6 and Python 3.11.7.  A knot that moves by one ulp
+        moves its digest; that is a declared change of the protocol and of
+        every langevin output, never a reason to edit a digest quietly.
+        """
+        wells = {"symmetric": symmetric_double_well(),
+                 "ratio-4": tune_tilt_for_ratio(1.0, 6.5, 4.0)}
+        digests = {}
+        for (name, pot), push, tau in itertools.product(
+                wells.items(), (None, 150.0), (3.0, 20.0, 750.0)):
+            s = erasure_protocol_schedule(pot, tau, push_tilt=push)
+            digest = hashlib.sha256(s.times.tobytes() + s.knots.tobytes()).hexdigest()
+            digests[name, push, tau] = digest[:16]
+        assert digests == {
+            ("symmetric", None, 3.0): "e97f53b06a0683bf",
+            ("symmetric", None, 20.0): "865e6a7c81d44934",
+            ("symmetric", None, 750.0): "f83d59448cc37c4f",
+            ("symmetric", 150.0, 3.0): "99e21c3f1f016d34",
+            ("symmetric", 150.0, 20.0): "1d863751d7797292",
+            ("symmetric", 150.0, 750.0): "4b1efe3c5835a044",
+            ("ratio-4", None, 3.0): "5a3a0ec65a204dac",
+            ("ratio-4", None, 20.0): "21303b88d9ba3666",
+            ("ratio-4", None, 750.0): "3b54eff6b2c68362",
+            ("ratio-4", 150.0, 3.0): "a9a383ce6e8e8d08",
+            ("ratio-4", 150.0, 20.0): "64f186d668918f6c",
+            ("ratio-4", 150.0, 750.0): "3d94487c73ee5712",
+        }
 
 
 class TestEnsembleParams:
@@ -751,7 +810,8 @@ class TestSimulation:
         sched = erasure_protocol_schedule(pot, 30.0)
         ens = simulate_erasure(pot, sched, EnsembleParams(n_traj=500, seed=41, dt=1e-3))
         assert ens.success_fraction >= 0.99
-        bound = LN2 - basin_free_energies(pot, 1.0).delta_f
+        r = basin_free_energies(pot, 1.0)
+        bound = LN2 - free_energy_change((r.f_left, r.f_right), (0.5, 0.5))
         assert ens.mean_work >= bound - 3 * ens.stderr
 
 

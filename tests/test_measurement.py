@@ -4,6 +4,7 @@ import pytest
 from infothermo.measurement import (
     InvalidMeasurementError,
     MeasurementModel,
+    OutcomeStatistics,
     ReconstructionError,
     classical_decompose,
     model_from_json,
@@ -107,6 +108,16 @@ class TestOutcomeStatistics:
                 # p_k is the sum of the probabilities tr(M+ M rho) of its operators
                 sub = sum(np.trace(m.conj().T @ m @ rho.entries).real for m in ops)
                 assert sub == pytest.approx(pk, abs=1e-10)
+
+    def test_invariant_messages_print_plain_numbers(self):
+        half = np.diag([0.5, 0.0]).astype(complex)
+        with pytest.raises(ValueError) as exc:
+            OutcomeStatistics(np.array([0.6, 0.5]), (half, half))
+        assert str(exc.value) == "outcome probabilities sum to 1.1"
+        with pytest.raises(ValueError) as exc:
+            OutcomeStatistics(np.array([0.5, 0.5]),
+                              (np.diag([0.4, 0.0]).astype(complex), half))
+        assert str(exc.value) == "outcome 0: tr(sigma) 0.4 != p 0.5"
 
 
 class TestQCMutualInformation:

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from infothermo.protocols import (
     szilard_reconciliation,
     verify_sum_bound,
 )
+from infothermo.serialization import dumps
 
 from builders import diagonal_state
 
@@ -246,7 +250,7 @@ class TestMeasurement:
         assert info == qc_mutual_information(rho, model)
         p = outcome_statistics(rho, model).probabilities
         expected = (-temperature * (shannon_entropy(p) - info)
-                    + free_energy_change(layout, temperature, p))
+                    + free_energy_change(layout.branch_free_energies(temperature), p))
         assert report.rhs == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_quantum_state(self):
@@ -370,9 +374,11 @@ def test_record_and_bound_json_round_trip():
     layout = two_branch_layout(0.0)
     sched = erasure_schedule(layout, 1.0, [0.5, 0.5], 50)
     _, report = run_erasure_protocol(layout, 1.0, [0.5, 0.5], sched)
-    bound_payload = report.to_json()
+    bound_payload = asdict(report)
+    assert sorted(bound_payload) == ["lhs", "margin", "rhs", "satisfied", "tag"]
     assert bound_payload["tag"] == "erasure"
     assert bound_payload["satisfied"] is True
+    assert json.loads(dumps(bound_payload)) == bound_payload
 
 
 def test_all_exports_resolve():

@@ -104,7 +104,8 @@ class TestSaturationAndSymmetry:
         for t in (0.3, 0.5, 0.8):
             p = TwoBoxParams(float(t))
             df = delta_free_energy(p)
-            layout_df = free_energy_change(twobox_layout(t, 1.0), 1.0, [0.5, 0.5])
+            layout_df = free_energy_change(
+                twobox_layout(t, 1.0).branch_free_energies(1.0), [0.5, 0.5])
             assert df == pytest.approx(layout_df, abs=1e-12)
             assert erasure_works(p)["W_eras"] == pytest.approx(LN2 - df, abs=1e-12)
             assert measurement_works(p)["W_meas"] == pytest.approx(df, abs=1e-12)
