@@ -12,6 +12,7 @@ the temperature defaults to 1; all works are reported in units of T.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -372,6 +373,10 @@ _CHUNK = 128  # trajectories per random stream; part of the output's definition
 # float64 kicks per tile: 2^15 of them take 256 KiB, so the tile stays in a
 # core's L2 cache from its expansion until its rows are added, one a step
 _TILE = 2 ** 15
+# an ensemble of this many chunks or more is integrated by two processes:
+# on 2 cores a run of 2000 steps is slower split up to 1024 trajectories,
+# and faster from 2048 on
+_SPLIT_CHUNKS = 16
 
 
 def _kick_table(kick: np.float32) -> np.ndarray:
@@ -449,14 +454,19 @@ def _sample_initial_positions(pot: PotentialSpec, temperature: float,
     return out
 
 
-def _check_finite(x: np.ndarray, traj_seeds: np.ndarray, first: int, end: int):
-    """Raise if a position is NaN after steps [first, end), which were
-    finite before them."""
+def _check_finite(x: np.ndarray, traj_seeds: np.ndarray, offset: int, first: int,
+                  end: int):
+    """Raise if a position of the trajectories from `offset` on is NaN after
+    steps [first, end), which were finite before them; the message names the
+    first such trajectory by its index in the whole ensemble, and the error
+    keeps `first` as its attribute."""
     if np.isnan(x).any():
-        bad = int(np.flatnonzero(np.isnan(x))[0])
-        raise FloatingPointError(
+        bad = offset + int(np.flatnonzero(np.isnan(x))[0])
+        error = FloatingPointError(
             f"trajectory {bad} (chunk {bad // _CHUNK}, column {bad % _CHUNK}, "
             f"stream seed {traj_seeds[bad]}) diverged in steps [{first}, {end})")
+        error.first = first
+        raise error
 
 
 def _charge_segment(works: np.ndarray, sums: np.ndarray, rates):
@@ -629,6 +639,120 @@ def _step_block(x, works, sums, factors, runs, table, bits, tile, rows, open_rat
     return open_rates, clamp_hits
 
 
+def _integrate(pot: PotentialSpec, schedule: ProtocolSchedule, params: EnsembleParams,
+               generators: list, traj_seeds: np.ndarray,
+               offset: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sample and step the trajectories of the chunks of `generators`, those
+    of the ensemble from `offset` on; return their final positions, their
+    works and the number of positions the clamp moved."""
+    dt = params.dt
+    n_steps = int(round(schedule.duration / dt))
+    n_traj = min(len(generators) * _CHUNK, params.n_traj - offset)
+    x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
+                                  generators, n_traj)
+    works = np.zeros(n_traj)
+    kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
+    table = _kick_table(kick)
+    # every chunk's 128 columns, in rows of about _TILE kicks: 128 rows at
+    # 256 trajectories, 3 at 10^4, and one row past 2^15 columns
+    width = len(generators) * _CHUNK
+    tile = np.empty((max(1, _TILE // width), width))
+    # views made once, of the tile rows' first n_traj columns and of each
+    # step's drift factors in `drift`: numpy reads a 0-d array faster than
+    # it converts a float
+    rows = [row[:n_traj] for row in tile]
+    drift = np.empty((_NOISE_BLOCK, 3))
+    factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
+    # the clamp guard compares x^2 with x_max^2, and the no-escape rule
+    # bounds |x|, so the domain must be symmetric
+    assert pot.x_min == -pot.x_max
+    clamp_hits = 0
+    # the work per step in segment s per unit of x^4, x^2 and x: the slope
+    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x); built
+    # once per call, since `_step_block` tells segments apart by identity
+    rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
+             * dt * [1.0, -1.0, 1.0]).tolist()
+    sums = np.zeros((3, n_traj))           # running sums of x^4, x^2, x in a segment
+    open_rates = ()                        # the rates of the segment whose sums are open
+    for j in range(0, n_steps, _NOISE_BLOCK):
+        count = min(_NOISE_BLOCK, n_steps - j)
+        bits = _draw_block(generators, count, n_traj)
+        drift[:count], runs = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max,
+                                          tile.shape[0])
+        open_rates, hits = _step_block(x, works, sums, factors, runs, table, bits, tile,
+                                       rows, open_rates, pot.x_max)
+        clamp_hits += hits
+        _check_finite(x, traj_seeds, offset, j, j + count)
+    _charge_segment(works, sums, open_rates)
+    return x, works, clamp_hits
+
+
+def _integrate_in_two(pot: PotentialSpec, schedule: ProtocolSchedule,
+                      params: EnsembleParams, generators: list,
+                      traj_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_integrate` on the upper half of the chunks in one forked worker
+    process and on the lower half in this one, joined in chunk order.
+
+    The worker sends its result, or the exception it raised, pickled through
+    a pipe, and leaves through os._exit, so it writes no file and flushes no
+    stdio buffer; its exception is raised here.  Of two divergences
+    (`_check_finite`) the one found in the earlier block is raised, the lower
+    half's on a tie, which is the one a single process reports.  Any other
+    exception here kills the worker, whose result need not fit the pipe's
+    buffer, and the worker is reaped on every path.  A worker that ends
+    without a result, killed or unable to pickle it, is a ChildProcessError.
+    Where no process can be started, the whole ensemble is integrated here.
+    """
+    # imported here, since only this path uses them (numpy has loaded pickle)
+    import pickle
+    import signal
+
+    half = -(-len(generators) // 2)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _integrate(pot, schedule, params, generators, traj_seeds, 0)
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                result = (None, *_integrate(pot, schedule, params, generators[half:],
+                                            traj_seeds, half * _CHUNK))
+            except BaseException as exc:   # re-raised by the parent
+                result = (exc, None, None, None)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    lower_error = None
+    try:
+        with open(read_end, "rb") as pipe:
+            try:
+                lower = _integrate(pot, schedule, params, generators[:half], traj_seeds, 0)
+            except FloatingPointError as exc:  # the worker's may be earlier
+                lower_error = exc
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status == 0 and payload:
+        upper_error, *upper = pickle.loads(payload)
+    else:
+        upper_error = ChildProcessError(
+            f"the worker process ended without a result (wait status {status})")
+    errors = [e for e in (lower_error, upper_error) if e is not None]
+    if errors:
+        raise min(errors, key=lambda e: getattr(e, "first", np.inf))
+    return (np.concatenate([lower[0], upper[0]]), np.concatenate([lower[1], upper[1]]),
+            lower[2] + upper[2])
+
+
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                      params: EnsembleParams) -> TrajectoryEnsemble:
     """Integrate the ensemble through the protocol and account the work.
@@ -659,22 +783,25 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     width.  `trajectory_seeds[i]` is the first 64-bit word of chunk k's
     seed state, shared by its trajectories.
 
-    The steps go in blocks of 512, all on the calling thread; no other
-    thread is started.  For each block it draws every chunk's bits
-    (`_draw_block`, 64 bytes a trajectory in whole 16-byte chunks), plans
-    its runs of one set of work rates and one pair of step flags within one
-    tile (`_block_plan`), steps it run by run (`_step_block`), expanding
-    its bits a tile at a time through a 256-row table of each byte's kicks
-    into one reused float64 tile of about 2^15 kicks with 128 columns a
-    chunk (`_expand_tile`), whose row views are made once per call, and
-    checks its positions for a NaN (`_check_finite`).  The coefficients are
-    evaluated per block, so memory does not grow with the step count (at
-    most MAX_STEPS).
+    Trajectories never interact, so a range of chunks can be integrated
+    anywhere (`_integrate`).  An ensemble of 16 chunks or more, in a process
+    allowed to run on two cores or more, is split in two: one forked worker
+    process takes the upper half of the chunks and this one the lower half
+    (`_integrate_in_two`), and the results are the same bits.  Otherwise,
+    and on a host without `os.sched_getaffinity`, every chunk is integrated
+    in this process.  No thread is started.  Each
+    process takes its steps in blocks of 512.  For each block it draws its
+    chunks' bits (`_draw_block`, 64 bytes a trajectory in whole 16-byte
+    chunks), plans its runs of one set of work rates and one pair of step
+    flags within one tile (`_block_plan`), steps it run by run
+    (`_step_block`), expanding its bits a tile at a time through a 256-row
+    table of each byte's kicks into one reused float64 tile of about 2^15
+    kicks with 128 columns a chunk (`_expand_tile`), whose row views are
+    made once per call, and checks its positions for a NaN
+    (`_check_finite`).  The coefficients are evaluated per block, so memory
+    does not grow with the step count (at most MAX_STEPS).
     """
     check_protocol(schedule, params)
-    dt = params.dt
-    n_steps = int(round(schedule.duration / dt))
-
     n_chunks = -(-params.n_traj // _CHUNK)
     seqs = np.random.SeedSequence(params.seed).spawn(n_chunks)
     generators = [np.random.Generator(np.random.SFC64(s)) for s in seqs]
@@ -682,44 +809,15 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                            dtype=np.uint64)
     traj_seeds = np.repeat(chunk_seeds, _CHUNK)[:params.n_traj]
 
-    x = _sample_initial_positions(pot, params.temperature, params.initial_weights,
-                                  generators, params.n_traj)
-    works = np.zeros(params.n_traj)
-    kick = np.float32(np.sqrt(2.0 * params.temperature * dt))
-    table = _kick_table(kick)
-    # every chunk's 128 columns, in rows of about _TILE kicks: 128 rows at
-    # 256 trajectories, 3 at 10^4, and one row past 2^15 columns
-    width = n_chunks * _CHUNK
-    tile = np.empty((max(1, _TILE // width), width))
-    # views made once, of the tile rows' first n_traj columns and of each
-    # step's drift factors in `drift`: numpy reads a 0-d array faster than
-    # it converts a float
-    rows = [row[:params.n_traj] for row in tile]
-    drift = np.empty((_NOISE_BLOCK, 3))
-    factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
-    # the clamp guard compares x^2 with x_max^2, and the no-escape rule
-    # bounds |x|, so the domain must be symmetric
-    assert pot.x_min == -pot.x_max
-    clamp_hits = 0
-    # the work per step in segment s per unit of x^4, x^2 and x: the slope
-    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x); built
-    # once per run, since `_step_block` tells segments apart by identity
-    rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
-             * dt * [1.0, -1.0, 1.0]).tolist()
-    sums = np.zeros((3, params.n_traj))    # running sums of x^4, x^2, x in a segment
-    open_rates = ()                        # the rates of the segment whose sums are open
-    for j in range(0, n_steps, _NOISE_BLOCK):
-        count = min(_NOISE_BLOCK, n_steps - j)
-        bits = _draw_block(generators, count, params.n_traj)
-        drift[:count], runs = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max,
-                                          tile.shape[0])
-        open_rates, hits = _step_block(x, works, sums, factors, runs, table, bits, tile,
-                                       rows, open_rates, pot.x_max)
-        clamp_hits += hits
-        _check_finite(x, traj_seeds, j, j + count)
-    _charge_segment(works, sums, open_rates)
+    if (n_chunks >= _SPLIT_CHUNKS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        x, works, clamp_hits = _integrate_in_two(pot, schedule, params, generators,
+                                                 traj_seeds)
+    else:
+        x, works, clamp_hits = _integrate(pot, schedule, params, generators, traj_seeds, 0)
 
-    final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * dt)[0]))
+    n_steps = int(round(schedule.duration / params.dt))
+    final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
     basins = (x >= final.barrier_top()).astype(int)
     return TrajectoryEnsemble(
         params=params,

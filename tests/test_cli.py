@@ -457,12 +457,16 @@ def test_output_onto_input_exits_2(tmp_path, monkeypatch, capsys, argv, victim, 
                  "b3f1fa9eab35b49b", "841751dd360e1f99", id="ratio-4"),
     pytest.param(["--seed", "5", "--n-traj", "300", "--tau", "3", "--push-tilt", "150"], 1,
                  "a6949208f44903ef", "cda9df3c4f4d6e73", id="push-tilt-clamped"),
+    pytest.param(["--seed", "7", "--n-traj", "2100", "--tau", "5", "--ratio", "4"], 0,
+                 "bb55776dd1aeed69", "16ce10bc0d4d277d", id="ratio-4-two-processes"),
 ])
 def test_langevin_outputs_are_pinned(tmp_path, monkeypatch, argv, code, csv_digest,
                                      json_digest):
     """Whole `langevin` outputs, pinned by the first 16 hex digits of their
-    sha256: two runs with a partial chunk of width 3, and one whose clamp
-    fires 52 287 times and whose checks fail.
+    sha256: two runs with a partial chunk of width 3, one whose clamp
+    fires 52 287 times and whose checks fail, and one of 17 chunks, the
+    last of width 52, which two processes integrate on a host that allows
+    this one two cores.
 
     The digests were recorded with numpy 2.4.6 and Python 3.11.7. Langevin
     bytes reproduce for a given numpy build and CPU SIMD level (README), so

@@ -1,7 +1,11 @@
+import contextlib
+import errno
 import hashlib
 import itertools
 import json
+import os
 import re
+import signal
 import threading
 import warnings
 
@@ -11,6 +15,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, linalg, optimize, special, stats
 
 from infothermo import langevin
+from infothermo.cli import main
 from infothermo.langevin import (
     EnsembleParams,
     PotentialSpec,
@@ -311,6 +316,61 @@ def assert_matches_stepwise_reference(n_traj: int, n_steps: int = 1500,
     assert np.array_equal(ens.trajectory_seeds, ref["seeds"])
     assert ens.clamp_hits == ref["clamp_hits"]
     return ref["clamp_hits"]
+
+
+def force_path(monkeypatch, split: bool) -> list:
+    """Make `simulate_erasure` split an ensemble of two chunks or more
+    between two processes when `split`, and keep it in one otherwise, on a
+    host of any core count; return the list that records each fork."""
+    monkeypatch.setattr(langevin, "_SPLIT_CHUNKS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if split else {0})
+    forks = []
+    fork = os.fork
+
+    def recorded_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail with a TimeoutError, not hang, if the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def inject_nans(monkeypatch, nans: dict, worker_offset: int):
+    """Put a NaN kick into trajectory i at step `nans[i]`, whichever process
+    steps it: a forked worker's tile starts at trajectory `worker_offset`."""
+    parent = os.getpid()
+    expanded = [0]                          # steps expanded so far, in this process
+
+    def nan_tile(table, octets, tile):
+        _expand_tile(table, octets, tile)
+        first = expanded[0]
+        expanded[0] += len(octets)
+        offset = 0 if os.getpid() == parent else worker_offset
+        for trajectory, step in nans.items():
+            if first <= step < expanded[0] and 0 <= trajectory - offset < tile.shape[1]:
+                tile[step - first, trajectory - offset] = np.nan
+
+    monkeypatch.setattr(langevin, "_expand_tile", nan_tile)
 
 
 class TestPotential:
@@ -730,7 +790,7 @@ class TestSimulation:
         # the second check runs after block 1 is stepped, two blocks early
         calls = []
 
-        def fail_on_second_call(x, traj_seeds, first, end):
+        def fail_on_second_call(x, traj_seeds, offset, first, end):
             calls.append(x)
             if len(calls) == 2:
                 raise FloatingPointError("injected divergence")
@@ -813,6 +873,153 @@ class TestSimulation:
         r = basin_free_energies(pot, 1.0)
         bound = LN2 - free_energy_change((r.f_left, r.f_right), (0.5, 0.5))
         assert ens.mean_work >= bound - 3 * ens.stderr
+
+
+class TestTwoProcesses:
+    """Chunks are independent, so an ensemble split between this process and
+    a forked worker must give the bits of one process, raise what one
+    process raises, and leave no process behind."""
+
+    @pytest.mark.parametrize("n_traj, ratio, duration, push_tilt", [
+        (263, 4.0, 1.2, None),       # three chunks, the last of width 7: the worker takes one
+        (640, 4.0, 1.2, None),       # five full chunks: the worker takes two
+        (300, 1.0, 3.0, 150.0),      # the clamp fires
+    ])
+    def test_split_matches_one_process(self, monkeypatch, n_traj, ratio, duration,
+                                       push_tilt):
+        pot = tune_tilt_for_ratio(1.0, 6.5, ratio)
+        sched = erasure_protocol_schedule(pot, duration, push_tilt)
+        params = EnsembleParams(n_traj=n_traj, seed=31)
+        runs = {}
+        for split in (False, True):
+            forks = force_path(monkeypatch, split)
+            runs[split] = simulate_erasure(pot, sched, params)
+            assert forks == [os.getpid()] * split
+            assert_no_child_left()
+        one, two = runs[False], runs[True]
+        for name in ("works", "final_positions", "final_basins", "trajectory_seeds"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert one.clamp_hits == two.clamp_hits
+        assert (one.clamp_hits > 0) == (push_tilt is not None)
+
+    def test_no_process_to_spare_integrates_here(self, monkeypatch):
+        pot = symmetric_double_well()
+        sched = erasure_protocol_schedule(pot, 0.6)
+        params = EnsembleParams(n_traj=300, seed=2)
+        force_path(monkeypatch, False)
+        one = simulate_erasure(pot, sched, params)
+        force_path(monkeypatch, True)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fallback = simulate_erasure(pot, sched, params)
+        assert np.array_equal(one.works, fallback.works)
+        assert np.array_equal(one.final_positions, fallback.final_positions)
+        assert_no_child_left()
+
+    def test_a_worker_killed_midway_exits_2(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+        check_finite = langevin._check_finite
+
+        def die_in_the_worker(x, traj_seeds, offset, first, end):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            check_finite(x, traj_seeds, offset, first, end)
+
+        monkeypatch.setattr(langevin, "_check_finite", die_in_the_worker)
+        force_path(monkeypatch, True)
+        monkeypatch.chdir(tmp_path)
+        code = main(["langevin", "--seed", "0", "--n-traj", "300", "--tau", "0.6",
+                     "--out", "run.csv"])
+        assert_no_child_left()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "langevin: error: the worker process ended without a result (wait status "
+            f"{int(signal.SIGKILL)})\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("nans, bad, steps", [
+        ({290: 3}, 290, "[0, 512)"),             # the worker's half, its partial chunk
+        ({5: 700}, 5, "[512, 1024)"),             # this process's half
+        ({5: 700, 290: 3}, 290, "[0, 512)"),      # the worker's comes a block earlier
+        ({290: 700, 5: 3}, 5, "[0, 512)"),        # this process's comes a block earlier
+        ({290: 3, 5: 400}, 5, "[0, 512)"),        # one block: the lower trajectory
+    ])
+    def test_divergence_is_reported_as_one_process_reports_it(self, monkeypatch, tmp_path,
+                                                              capsys, nans, bad, steps):
+        # three chunks: this process takes trajectories 0-255, the worker 256-299
+        pot = symmetric_double_well()
+        sched = erasure_protocol_schedule(pot, 1.2)
+        params = EnsembleParams(n_traj=300, seed=0)
+        messages = []
+        for split in (False, True):
+            inject_nans(monkeypatch, nans, worker_offset=256)
+            force_path(monkeypatch, split)
+            with pytest.raises(FloatingPointError) as raised:
+                simulate_erasure(pot, sched, params)
+            assert_no_child_left()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(rf"trajectory {bad} \(chunk {bad // 128}, column {bad % 128}, "
+                            rf"stream seed \d+\) diverged in steps " + re.escape(steps),
+                            messages[1])
+
+        # the CLI exits 1 with one line and writes no file
+        inject_nans(monkeypatch, nans, worker_offset=256)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = main(["langevin", "--seed", "0", "--n-traj", "300", "--tau", "1.2",
+                     "--out", "run.csv"])
+        assert_no_child_left()
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"langevin: check failed: {messages[1]}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_deadlock_on_a_result_larger_than_the_pipe(self, monkeypatch):
+        # at 10^4 trajectories the worker's result, about 80 KB pickled, does
+        # not fit a 64 KiB pipe buffer, so the worker waits in its write
+        # until this process reads the result or kills the worker
+        pot = symmetric_double_well()
+        params = EnsembleParams(n_traj=10_000, seed=4)
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        force_path(monkeypatch, True)
+
+        # a divergence in this process's half: the worker's result is read
+        # and reaped, and this half's divergence is reported
+        inject_nans(monkeypatch, {17: 3}, worker_offset=5120)
+        with deadline(60), pytest.raises(FloatingPointError,
+                                         match=r"^trajectory 17 .* steps \[0, 512\)$"):
+            simulate_erasure(pot, erasure_protocol_schedule(pot, 0.6), params)
+        assert statuses == [0]
+        monkeypatch.setattr(langevin, "_expand_tile", _expand_tile)
+
+        # any other error here kills the worker, which would step 20 000
+        # steps before it wrote
+        parent = os.getpid()
+        check_finite = langevin._check_finite
+
+        def fail_here(x, traj_seeds, offset, first, end):
+            if os.getpid() == parent:
+                raise MemoryError("injected")
+            check_finite(x, traj_seeds, offset, first, end)
+
+        monkeypatch.setattr(langevin, "_check_finite", fail_here)
+        with deadline(60), pytest.raises(MemoryError, match="injected"):
+            simulate_erasure(pot, erasure_protocol_schedule(pot, 20.0), params)
+        assert os.WIFSIGNALED(statuses[1]) and os.WTERMSIG(statuses[1]) == signal.SIGKILL
+        monkeypatch.undo()
+        assert_no_child_left()
 
 
 class TestNoiseFill:
