@@ -41,10 +41,9 @@ class UnstableTimestepError(ValueError):
 @dataclass(frozen=True)
 class PotentialSpec:
     """Quartic double well a x^4 - b x^2 + c x on the clamped domain
-    [x_min, x_max]."""
+    [-x_max, x_max]."""
 
     coefficients: tuple[float, float, float]
-    x_min: ClassVar[float] = -2.85
     x_max: ClassVar[float] = 2.85
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class PotentialSpec:
         a, b, c = self.coefficients
         roots = np.roots([4.0 * a, 0.0, -2.0 * b, c])
         real = roots[np.abs(roots.imag) < 1e-9].real
-        inside = real[(real > self.x_min) & (real < self.x_max)]
+        inside = real[np.abs(real) < self.x_max]
         return np.sort(inside)
 
     def barrier_top(self) -> float:
@@ -157,7 +156,7 @@ def basin_free_energies(pot: PotentialSpec, temperature: float = 1.0,
     top = pot.barrier_top()
     points = pot.critical_points()
     free = []
-    for lo, hi in ((pot.x_min, top), (top, pot.x_max)):
+    for lo, hi in ((-pot.x_max, top), (top, pot.x_max)):
         left, right, v_min = _basin_window(pot, lo, hi, points, temperature)
         z = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS)
         coarse = _gauss_legendre(pot, left, right, v_min, temperature, _PANELS // 2)
@@ -433,7 +432,7 @@ def _sample_initial_positions(pot: PotentialSpec, temperature: float,
     a chunk taken alone, and accepts for all of them at once.
     """
     top = pot.barrier_top()
-    lo = np.array([pot.x_min, top])
+    lo = np.array([-pot.x_max, top])
     hi = np.array([top, pot.x_max])
     floors = np.array([pot.value(np.linspace(l, h, 512)).min() for l, h in zip(lo, hi)])
     out = np.empty(n_traj)
@@ -454,21 +453,6 @@ def _sample_initial_positions(pot: PotentialSpec, temperature: float,
     return out
 
 
-def _check_finite(x: np.ndarray, traj_seeds: np.ndarray, offset: int, first: int,
-                  end: int):
-    """Raise if a position of the trajectories from `offset` on is NaN after
-    steps [first, end), which were finite before them; the message names the
-    first such trajectory by its index in the whole ensemble, and the error
-    keeps `first` as its attribute."""
-    if np.isnan(x).any():
-        bad = offset + int(np.flatnonzero(np.isnan(x))[0])
-        error = FloatingPointError(
-            f"trajectory {bad} (chunk {bad // _CHUNK}, column {bad % _CHUNK}, "
-            f"stream seed {traj_seeds[bad]}) diverged in steps [{first}, {end})")
-        error.first = first
-        raise error
-
-
 def _charge_segment(works: np.ndarray, sums: np.ndarray, rates):
     """Add a segment's work, its rates times its running sums of x^4, x^2
     and x, to ``works`` and zero the sums; a zero rate adds nothing."""
@@ -482,8 +466,7 @@ def check_timestep(schedule: ProtocolSchedule, dt: float):
     """Reject dt above a tenth of the stiffest relaxation time 1 / max |V''|
     on the path: |V''| = |12 a x^2 - 2 b| peaks at a domain end or at x = 0."""
     a, b = schedule.knots[:, 0], schedule.knots[:, 1]
-    lo, hi = PotentialSpec.x_min, PotentialSpec.x_max
-    edge = max(lo * lo, hi * hi)
+    edge = PotentialSpec.x_max * PotentialSpec.x_max
     curv = float(np.max(np.maximum(np.abs(12.0 * a * edge - 2.0 * b), np.abs(2.0 * b))))
     limit = 0.1 / curv
     if dt > limit:
@@ -640,11 +623,12 @@ def _step_block(x, works, sums, factors, runs, table, bits, tile, rows, open_rat
 
 
 def _integrate(pot: PotentialSpec, schedule: ProtocolSchedule, params: EnsembleParams,
-               generators: list, traj_seeds: np.ndarray,
-               offset: int) -> tuple[np.ndarray, np.ndarray, int]:
+               generators: list, offset: int) -> tuple:
     """Sample and step the trajectories of the chunks of `generators`, those
     of the ensemble from `offset` on; return their final positions, their
-    works and the number of positions the clamp moved."""
+    works, the number of positions the clamp moved and `diverged`: None, or
+    the steps (first, end) of the first block that left a position NaN, the
+    block the positions and works stopped after."""
     dt = params.dt
     n_steps = int(round(schedule.duration / dt))
     n_traj = min(len(generators) * _CHUNK, params.n_traj - offset)
@@ -663,9 +647,6 @@ def _integrate(pot: PotentialSpec, schedule: ProtocolSchedule, params: EnsembleP
     rows = [row[:n_traj] for row in tile]
     drift = np.empty((_NOISE_BLOCK, 3))
     factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
-    # the clamp guard compares x^2 with x_max^2, and the no-escape rule
-    # bounds |x|, so the domain must be symmetric
-    assert pot.x_min == -pot.x_max
     clamp_hits = 0
     # the work per step in segment s per unit of x^4, x^2 and x: the slope
     # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x); built
@@ -682,27 +663,32 @@ def _integrate(pot: PotentialSpec, schedule: ProtocolSchedule, params: EnsembleP
         open_rates, hits = _step_block(x, works, sums, factors, runs, table, bits, tile,
                                        rows, open_rates, pot.x_max)
         clamp_hits += hits
-        _check_finite(x, traj_seeds, offset, j, j + count)
+        if np.isnan(x).any():
+            return x, works, clamp_hits, (j, j + count)
     _charge_segment(works, sums, open_rates)
-    return x, works, clamp_hits
+    return x, works, clamp_hits, None
 
 
-def _integrate_in_two(pot: PotentialSpec, schedule: ProtocolSchedule,
-                      params: EnsembleParams, generators: list,
-                      traj_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_integrate` on the upper half of the chunks in one forked worker
-    process and on the lower half in this one, joined in chunk order.
+def _integrate_parts(pot: PotentialSpec, schedule: ProtocolSchedule,
+                     params: EnsembleParams, generators: list) -> list:
+    """`_integrate` over every chunk, as a list of its parts in chunk order.
 
-    The worker sends its result, or the exception it raised, pickled through
-    a pipe, and leaves through os._exit, so it writes no file and flushes no
-    stdio buffer; its exception is raised here.  Of two divergences
-    (`_check_finite`) the one found in the earlier block is raised, the lower
-    half's on a tie, which is the one a single process reports.  Any other
-    exception here kills the worker, whose result need not fit the pipe's
-    buffer, and the worker is reaped on every path.  A worker that ends
-    without a result, killed or unable to pickle it, is a ChildProcessError.
-    Where no process can be started, the whole ensemble is integrated here.
+    An ensemble of `_SPLIT_CHUNKS` chunks or more, in a process allowed to
+    run on two cores or more, comes in two parts: one forked worker process
+    integrates the upper half of the chunks and this one the lower half.
+    Otherwise, and on a host without `os.sched_getaffinity` or where no
+    process can be started, the ensemble is one part, integrated here.
+
+    The worker sends its part, or the exception it raised, pickled through a
+    pipe, and leaves through os._exit, so it writes no file and flushes no
+    stdio buffer; its exception is raised here.  An exception here kills the
+    worker, whose part need not fit the pipe's buffer, and the worker is
+    reaped on every path.  A worker that ends without a result, killed or
+    unable to pickle it, is a ChildProcessError.
     """
+    if not (len(generators) >= _SPLIT_CHUNKS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return [_integrate(pot, schedule, params, generators, 0)]
     # imported here, since only this path uses them (numpy has loaded pickle)
     import pickle
     import signal
@@ -714,43 +700,35 @@ def _integrate_in_two(pot: PotentialSpec, schedule: ProtocolSchedule,
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return _integrate(pot, schedule, params, generators, traj_seeds, 0)
+        return [_integrate(pot, schedule, params, generators, 0)]
     if pid == 0:
         try:
             os.close(read_end)
             try:
-                result = (None, *_integrate(pot, schedule, params, generators[half:],
-                                            traj_seeds, half * _CHUNK))
+                result = _integrate(pot, schedule, params, generators[half:], half * _CHUNK)
             except BaseException as exc:   # re-raised by the parent
-                result = (exc, None, None, None)
+                result = exc
             with open(write_end, "wb") as pipe:
                 pipe.write(pickle.dumps(result))
         finally:
             os._exit(0)
     os.close(write_end)
-    lower_error = None
     try:
         with open(read_end, "rb") as pipe:
-            try:
-                lower = _integrate(pot, schedule, params, generators[:half], traj_seeds, 0)
-            except FloatingPointError as exc:  # the worker's may be earlier
-                lower_error = exc
+            lower = _integrate(pot, schedule, params, generators[:half], 0)
             payload = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    if status == 0 and payload:
-        upper_error, *upper = pickle.loads(payload)
-    else:
-        upper_error = ChildProcessError(
+    if status != 0 or not payload:
+        raise ChildProcessError(
             f"the worker process ended without a result (wait status {status})")
-    errors = [e for e in (lower_error, upper_error) if e is not None]
-    if errors:
-        raise min(errors, key=lambda e: getattr(e, "first", np.inf))
-    return (np.concatenate([lower[0], upper[0]]), np.concatenate([lower[1], upper[1]]),
-            lower[2] + upper[2])
+    upper = pickle.loads(payload)
+    if isinstance(upper, BaseException):
+        raise upper
+    return [lower, upper]
 
 
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
@@ -787,19 +765,24 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     anywhere (`_integrate`).  An ensemble of 16 chunks or more, in a process
     allowed to run on two cores or more, is split in two: one forked worker
     process takes the upper half of the chunks and this one the lower half
-    (`_integrate_in_two`), and the results are the same bits.  Otherwise,
+    (`_integrate_parts`), and the results are the same bits.  Otherwise,
     and on a host without `os.sched_getaffinity`, every chunk is integrated
-    in this process.  No thread is started.  Each
-    process takes its steps in blocks of 512.  For each block it draws its
-    chunks' bits (`_draw_block`, 64 bytes a trajectory in whole 16-byte
-    chunks), plans its runs of one set of work rates and one pair of step
-    flags within one tile (`_block_plan`), steps it run by run
-    (`_step_block`), expanding its bits a tile at a time through a 256-row
-    table of each byte's kicks into one reused float64 tile of about 2^15
-    kicks with 128 columns a chunk (`_expand_tile`), whose row views are
-    made once per call, and checks its positions for a NaN
-    (`_check_finite`).  The coefficients are evaluated per block, so memory
-    does not grow with the step count (at most MAX_STEPS).
+    in this process.  No thread is started.  Each part takes its steps in
+    blocks of 512.  For each block it draws its chunks' bits (`_draw_block`,
+    64 bytes a trajectory in whole 16-byte chunks), plans its runs of one
+    set of work rates and one pair of step flags within one tile
+    (`_block_plan`), steps it run by run (`_step_block`), expanding its bits
+    a tile at a time through a 256-row table of each byte's kicks into one
+    reused float64 tile of about 2^15 kicks with 128 columns a chunk
+    (`_expand_tile`), whose row views are made once per call, and stops
+    after the first block that leaves a position NaN.  The coefficients are
+    evaluated per block, so memory does not grow with the step count (at
+    most MAX_STEPS).
+
+    A divergence raises one FloatingPointError, whatever the number of
+    parts.  It names the earliest block after which a part stopped and,
+    among the parts that stopped after it, the lowest trajectory index with
+    a NaN position, with its chunk, column and stream seed.
     """
     check_protocol(schedule, params)
     n_chunks = -(-params.n_traj // _CHUNK)
@@ -809,23 +792,28 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
                            dtype=np.uint64)
     traj_seeds = np.repeat(chunk_seeds, _CHUNK)[:params.n_traj]
 
-    if (n_chunks >= _SPLIT_CHUNKS and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        x, works, clamp_hits = _integrate_in_two(pot, schedule, params, generators,
-                                                 traj_seeds)
-    else:
-        x, works, clamp_hits = _integrate(pot, schedule, params, generators, traj_seeds, 0)
+    positions, works, hits, blocks = zip(*_integrate_parts(pot, schedule, params,
+                                                           generators))
+    starts = np.cumsum([0, *map(len, positions)])
+    diverged = [(block, int(start + np.flatnonzero(np.isnan(x))[0]))
+                for x, block, start in zip(positions, blocks, starts) if block]
+    if diverged:
+        (first, end), bad = min(diverged)
+        raise FloatingPointError(
+            f"trajectory {bad} (chunk {bad // _CHUNK}, column {bad % _CHUNK}, "
+            f"stream seed {traj_seeds[bad]}) diverged in steps [{first}, {end})")
+    x = np.concatenate(positions)
 
     n_steps = int(round(schedule.duration / params.dt))
     final = PotentialSpec(tuple(schedule.coefficients_at(n_steps * params.dt)[0]))
     basins = (x >= final.barrier_top()).astype(int)
     return TrajectoryEnsemble(
         params=params,
-        works=works,
+        works=np.concatenate(works),
         final_positions=x,
         final_basins=basins,
         trajectory_seeds=traj_seeds,
-        clamp_hits=clamp_hits,
+        clamp_hits=sum(hits),
     )
 
 

@@ -63,7 +63,7 @@ class MeasurementModel:
     """
 
     operators: tuple[tuple[np.ndarray, ...], ...]
-    effects: tuple[np.ndarray, ...] = field(default=None, compare=False)
+    effects: tuple[np.ndarray, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.operators:

@@ -88,14 +88,16 @@ def twobox_layout(t: float, temperature=1.0) -> MemoryLayout:
     return two_branch_layout(temp * np.log(t / (1.0 - t)))
 
 
-def random_layout(rng: np.random.Generator) -> MemoryLayout:
-    """Seeded random memory layout for bound-verification suites: 2 or 3
-    branches of 1 to 3 levels, each energy uniform in [0, 2)."""
+def random_layout(rng: np.random.Generator, temperature) -> MemoryLayout:
+    """Seeded random memory layout for bound-verification suites at
+    `temperature`: 2 or 3 branches of 1 to 3 levels, each energy uniform in
+    [0, 2 T), so the layout scales with T against the 50 T cap."""
+    high = 2.0 * temperature_value(temperature)
     n = int(rng.integers(2, 4))
     blocks = []
     for _ in range(n):
         d = int(rng.integers(1, 4))
-        blocks.append(rng.uniform(0.0, 2.0, size=d))
+        blocks.append(rng.uniform(0.0, high, size=d))
     return MemoryLayout(tuple(blocks))
 
 

@@ -32,7 +32,8 @@ class DensityOperator:
     """A valid quantum state: Hermitian, positive semidefinite, unit trace."""
 
     entries: np.ndarray
-    _spectrum: np.ndarray = field(default=None, repr=False, compare=False)
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)

@@ -422,7 +422,7 @@ def erasure_bound_suite(seed: int, n_instances: int, n_steps: int = None,
     for i in range(n_instances):
         with _replay_label("fuzz" if fuzz else "erasure", seed, i):
             rng = np.random.default_rng([seed, i])
-            layout = random_layout(rng)
+            layout = random_layout(rng, temperature)
             p = _random_weights(rng, layout.outcome_count)
             if fuzz:
                 sched = fuzzed_erasure_schedule(rng, layout, temperature, p)
@@ -450,7 +450,7 @@ def measurement_bound_suite(seed: int, n_instances: int, n_steps: int = None,
     for i in range(n_instances):
         with _replay_label("measurement", seed, i):
             rng = np.random.default_rng([seed, i])
-            layout = random_layout(rng)
+            layout = random_layout(rng, temperature)
             dim_s = int(rng.integers(2, 5))
             model = random_classical_model(rng, dim_s, layout.outcome_count)
             rho_s = DensityOperator(np.diag(_random_weights(rng, dim_s)).astype(complex))

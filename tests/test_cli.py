@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import infothermo
-from infothermo import cli
+from infothermo import cli, protocols
 from infothermo.cli import main
 from infothermo.memory import RECONCILIATION_BOUND, BoundReport
 
@@ -141,10 +141,12 @@ class TestVerifyBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize("temperature", ["0.05", "1e-3"])
-    def test_unparked_branch_at_low_temperature_exits_1(self, tmp_path, capsys, temperature):
-        # the random layouts' levels lie in [0, 2) at every T, but the cap that
-        # parks an empty branch is 50 T, so a transport schedule cannot empty
-        # the standard branch; that once ended in a traceback
+    def test_unparked_branch_at_low_temperature_exits_1(self, tmp_path, monkeypatch,
+                                                         capsys, temperature):
+        # a cap of 10 T parks an empty branch too low for the transport
+        # schedule to empty the standard branch, at any T since the random
+        # layouts scale with T; that once ended in a traceback
+        monkeypatch.setattr(protocols, "E_CAP_FACTOR", 10.0)
         code = main(["verify-bounds", "--seed", "0", "--instances", "2",
                      "--temperature", temperature, "--out", str(tmp_path / "b.json")])
         assert code == 1
@@ -153,17 +155,40 @@ class TestVerifyBounds:
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_check_failure_names_its_instance(self, tmp_path, capsys):
+    def test_check_failure_names_its_instance(self, tmp_path, monkeypatch, capsys):
         # a failed check ends its one line with the replay label of the
         # instance that raised it, which replays the failure on its own
+        monkeypatch.setattr(protocols, "E_CAP_FACTOR", 10.0)
         code = main(["verify-bounds", "--seed", "0", "--instances", "2",
-                     "--temperature", "0.05", "--out", str(tmp_path / "b.json")])
+                     "--out", str(tmp_path / "b.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == ("verify-bounds: check failed: conditional schedule 2 leaves weight "
-                       "4.155e-06 outside branch 2 (measurement seed=0 index=0)\n")
+        assert err == ("verify-bounds: check failed: conditional schedule 1 leaves weight "
+                       "6.923e-04 outside branch 1 (measurement seed=0 index=0)\n")
         with pytest.raises(ArithmeticError, match=r"\(measurement seed=0 index=0\)$"):
-            cli.measurement_bound_suite(0, 1, temperature=0.05)
+            cli.measurement_bound_suite(0, 1)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("temperature", [0.05, 1e-3])
+    def test_margins_scale_with_temperature(self, tmp_path, temperature):
+        # the random layouts are drawn in units of T, so every margin is T
+        # times its margin at T = 1, and a low temperature verifies too
+        def margins(report):
+            rows = [*report["measurement_suite"], *report["erasure_suite"],
+                    *report["fuzzed_erasure_suite"], *report["szilard"].values(),
+                    report]
+            return np.array([v for row in rows for k, v in row.items()
+                             if k.endswith("margin")])
+
+        reports = []
+        for temp in (1.0, temperature):
+            out = tmp_path / f"b{temp}.json"
+            assert main(["verify-bounds", "--seed", "3", "--instances", "5",
+                         "--temperature", str(temp), "--out", str(out)]) == 0
+            reports.append(read_json(out))
+        unit, scaled = (margins(r) for r in reports)
+        assert unit.size == 5 * 3 + 5 + 5 + 2 + 1
+        assert np.abs(scaled / temperature - unit).max() <= 1e-12
 
     def test_sum_violation_names_its_row(self, tmp_path, monkeypatch, capsys):
         suite = cli.measurement_bound_suite

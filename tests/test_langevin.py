@@ -114,7 +114,7 @@ def quad_basin_weights(pot: PotentialSpec) -> tuple:
     def density(x):
         return np.exp(-pot.value(x))
 
-    z_left, err_left = integrate.quad(density, pot.x_min, top, epsrel=1e-10, limit=200)
+    z_left, err_left = integrate.quad(density, -pot.x_max, top, epsrel=1e-10, limit=200)
     z_right, err_right = integrate.quad(density, top, pot.x_max, epsrel=1e-10, limit=200)
     return (z_left, err_left), (z_right, err_right)
 
@@ -168,7 +168,7 @@ def chunkwise_initial_positions(pot: PotentialSpec, temperature: float, weights,
     least V on 512 points of the basin.
     """
     top = pot.barrier_top()
-    lo = np.array([pot.x_min, top])
+    lo = np.array([-pot.x_max, top])
     hi = np.array([top, pot.x_max])
     floors = np.array([pot.value(np.linspace(l, h, 512)).min() for l, h in zip(lo, hi)])
     out = np.empty(n_traj)
@@ -197,7 +197,7 @@ def fokker_planck_erasure(pot: PotentialSpec, sched: ProtocolSchedule, weights,
     adding p . (V(lambda_{j+1}) - V(lambda_j)) to the work, then relaxes by
     one implicit-Euler step (I - h_t L) p' = p.  The error is O(h_t).
     """
-    edges = np.linspace(pot.x_min, pot.x_max, n_cells + 1)
+    edges = np.linspace(-pot.x_max, pot.x_max, n_cells + 1)
     x = 0.5 * (edges[:-1] + edges[1:])
     scale = temperature / (edges[1] - edges[0]) ** 2
     n_steps = round(sched.duration / h_t)
@@ -272,8 +272,8 @@ def stepwise_reference(pot: PotentialSpec, sched: ProtocolSchedule,
     for j in range(n_steps):
         a, b, c = lam[j]
         x = x * ((x * x) * (-4.0 * a * dt) + (1.0 + 2.0 * b * dt)) - c * dt + noise[j]
-        hits += np.count_nonzero((x < pot.x_min) | (x > pot.x_max))
-        x = np.clip(x, pot.x_min, pot.x_max)
+        hits += np.count_nonzero((x < -pot.x_max) | (x > pot.x_max))
+        x = np.clip(x, -pot.x_max, pot.x_max)
         terms = ((x * x) * (x * x), x * x, x)
         da, db, dc = lam[j + 1] - lam[j]
         per_step_works = per_step_works + terms[0] * da + terms[1] * -db + terms[2] * dc
@@ -415,7 +415,7 @@ class TestBasinFreeEnergies:
     def test_quadrature_against_trapezoid(self):
         pot = tune_tilt_for_ratio(1.0, 6.5, 2.5, 1.0)
         r = basin_free_energies(pot, 1.0)
-        xs = np.linspace(pot.x_min, pot.barrier_top(), 20001)
+        xs = np.linspace(-pot.x_max, pot.barrier_top(), 20001)
         z_left = np.trapezoid(np.exp(-pot.value(xs)), xs)
         assert np.exp(-r.f_left) == pytest.approx(z_left, rel=1e-6)
 
@@ -621,7 +621,6 @@ class TestSimulation:
     def test_clamp_guard_matches_clamping_every_step(self, monkeypatch):
         # a domain of +-1.95 cuts the wells at +-1.80 close: the clamp fires
         # often, and the guarded clamp must give np.clip's positions and count
-        monkeypatch.setattr(PotentialSpec, "x_min", -1.95)
         monkeypatch.setattr(PotentialSpec, "x_max", 1.95)
         assert assert_matches_stepwise_reference(130) > 0
         # the no-escape rule guards every step of that run
@@ -787,18 +786,18 @@ class TestSimulation:
         simulate_erasure(pot, sched, params)
         assert threading.active_count() == before
 
-        # the second check runs after block 1 is stepped, two blocks early
-        calls = []
+        # a NaN in block 1 stops the run after that block, two blocks early
+        draws = []
 
-        def fail_on_second_call(x, traj_seeds, offset, first, end):
-            calls.append(x)
-            if len(calls) == 2:
-                raise FloatingPointError("injected divergence")
+        def counted_draw(generators, count, n_traj):
+            draws.append(count)
+            return _draw_block(generators, count, n_traj)
 
-        monkeypatch.setattr(langevin, "_check_finite", fail_on_second_call)
-        with pytest.raises(FloatingPointError, match="injected divergence"):
+        monkeypatch.setattr(langevin, "_draw_block", counted_draw)
+        inject_nans(monkeypatch, {5: 600}, worker_offset=0)
+        with pytest.raises(FloatingPointError, match=r"diverged in steps \[512, 1024\)$"):
             simulate_erasure(pot, sched, params)
-        assert len(calls) == 2
+        assert len(draws) == 2
         assert threading.active_count() == before
         assert started == []
 
@@ -921,14 +920,13 @@ class TestTwoProcesses:
 
     def test_a_worker_killed_midway_exits_2(self, monkeypatch, tmp_path, capsys):
         parent = os.getpid()
-        check_finite = langevin._check_finite
 
-        def die_in_the_worker(x, traj_seeds, offset, first, end):
+        def die_in_the_worker(generators, count, n_traj):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            check_finite(x, traj_seeds, offset, first, end)
+            return _draw_block(generators, count, n_traj)
 
-        monkeypatch.setattr(langevin, "_check_finite", die_in_the_worker)
+        monkeypatch.setattr(langevin, "_draw_block", die_in_the_worker)
         force_path(monkeypatch, True)
         monkeypatch.chdir(tmp_path)
         code = main(["langevin", "--seed", "0", "--n-traj", "300", "--tau", "0.6",
@@ -1007,17 +1005,44 @@ class TestTwoProcesses:
         # any other error here kills the worker, which would step 20 000
         # steps before it wrote
         parent = os.getpid()
-        check_finite = langevin._check_finite
 
-        def fail_here(x, traj_seeds, offset, first, end):
+        def fail_here(generators, count, n_traj):
             if os.getpid() == parent:
                 raise MemoryError("injected")
-            check_finite(x, traj_seeds, offset, first, end)
+            return _draw_block(generators, count, n_traj)
 
-        monkeypatch.setattr(langevin, "_check_finite", fail_here)
+        monkeypatch.setattr(langevin, "_draw_block", fail_here)
         with deadline(60), pytest.raises(MemoryError, match="injected"):
             simulate_erasure(pot, erasure_protocol_schedule(pot, 20.0), params)
         assert os.WIFSIGNALED(statuses[1]) and os.WTERMSIG(statuses[1]) == signal.SIGKILL
+        monkeypatch.undo()
+        assert_no_child_left()
+
+    def test_an_error_in_the_worker_is_raised_here(self, monkeypatch):
+        # an exception that is not a divergence crosses the pipe: the worker
+        # pickles it, ends normally, and this process raises it
+        pot = symmetric_double_well()
+        params = EnsembleParams(n_traj=300, seed=6)
+        parent = os.getpid()
+        statuses = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        def fail_in_the_worker(generators, count, n_traj):
+            if os.getpid() != parent:
+                raise MemoryError("injected")
+            return _draw_block(generators, count, n_traj)
+
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        monkeypatch.setattr(langevin, "_draw_block", fail_in_the_worker)
+        forks = force_path(monkeypatch, True)
+        with deadline(60), pytest.raises(MemoryError, match="^injected$"):
+            simulate_erasure(pot, erasure_protocol_schedule(pot, 0.6), params)
+        assert forks == [parent] and statuses == [0]
         monkeypatch.undo()
         assert_no_child_left()
 
@@ -1096,7 +1121,8 @@ class TestNoEscapeRule:
         # half with |c| up to 100; every unflagged step is run with the
         # kernel's arithmetic from a dense grid that includes both ends
         rng = np.random.default_rng(47)
-        lo, hi = PotentialSpec.x_min, PotentialSpec.x_max
+        hi = PotentialSpec.x_max
+        lo = -hi
         x = np.linspace(lo, hi, 4001)
         x2 = x * x
         unflagged = 0
@@ -1134,7 +1160,7 @@ class TestFokkerPlanckOracle:
         # cell: a frozen protocol from the equilibrium weights does no work
         # and keeps the basin weights
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
-        edges = np.linspace(pot.x_min, pot.x_max, 301)
+        edges = np.linspace(-pot.x_max, pot.x_max, 301)
         x = 0.5 * (edges[:-1] + edges[1:])
         boltzmann = np.exp(-pot.value(x))
         left = boltzmann[x < pot.barrier_top()].sum() / boltzmann.sum()
@@ -1221,7 +1247,7 @@ class TestEquilibriumSampling:
         n = 4000
         xs = equilibrium_positions(pot, temperature, n, seed=81, duration=3.0, dt=1e-3)
 
-        grid = np.linspace(pot.x_min, pot.x_max, 4001)
+        grid = np.linspace(-pot.x_max, pot.x_max, 4001)
         density = np.exp(-pot.value(grid) / temperature)
         cdf = np.concatenate([[0.0], integrate.cumulative_trapezoid(density, grid)])
         cdf /= cdf[-1]
@@ -1245,7 +1271,7 @@ class TestEquilibriumSampling:
         top = pot.barrier_top()
         left = xs < top
         assert stats.binomtest(int(left.sum()), n, weights[0]).pvalue > 0.01
-        for sample, lo, hi in ((xs[left], pot.x_min, top), (xs[~left], top, pot.x_max)):
+        for sample, lo, hi in ((xs[left], -pot.x_max, top), (xs[~left], top, pot.x_max)):
             grid = np.linspace(lo, hi, 4001)
             density = np.exp(-pot.value(grid))
             cdf = np.concatenate([[0.0], integrate.cumulative_trapezoid(density, grid)])

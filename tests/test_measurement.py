@@ -66,6 +66,13 @@ class TestMeasurementModel:
         for e in model.effects:
             assert np.array_equal(e, np.diag(np.diag(e)))
 
+    def test_effects_are_no_constructor_input(self):
+        # the effects are derived from the operators, never passed in
+        ops = ((np.eye(2, dtype=complex),),)
+        with pytest.raises(TypeError):
+            MeasurementModel(ops, effects=(np.eye(2),))
+        assert np.array_equal(MeasurementModel(ops).effects[0], np.eye(2))
+
     def test_effects_sum_to_identity(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, 3, 4, ops_per_outcome=2)

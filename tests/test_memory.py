@@ -117,8 +117,18 @@ class TestBoundReport:
 
 
 def test_random_layout_deterministic():
-    a = random_layout(np.random.default_rng(5))
-    b = random_layout(np.random.default_rng(5))
+    a = random_layout(np.random.default_rng(5), 1.0)
+    b = random_layout(np.random.default_rng(5), 1.0)
     assert a.branch_dims == b.branch_dims
     for x, y in zip(a.energies, b.energies):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("temperature", [0.05, 1e-30, 3.0])
+def test_random_layout_scales_with_temperature(temperature):
+    # the same draws, levels in [0, 2 T): a layout in units of T
+    unit = random_layout(np.random.default_rng(5), 1.0)
+    scaled = random_layout(np.random.default_rng(5), temperature)
+    assert scaled.branch_dims == unit.branch_dims
+    for x, y in zip(scaled.energies, unit.energies):
+        assert np.allclose(x / temperature, y, rtol=1e-15, atol=0.0)

@@ -36,6 +36,14 @@ class TestValidation:
             temperature_value(-1.0)
         assert temperature_value(2.0) == 2.0
 
+    def test_spectrum_is_no_constructor_input(self):
+        # the spectrum is derived at validation, never passed in
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(TypeError):
+            DensityOperator(entries, _spectrum=(np.ones(2), np.eye(2)))
+        vals, vecs = DensityOperator(entries).spectrum()
+        assert np.array_equal(vals, [0.5, 0.5]) and np.array_equal(vecs, np.eye(2))
+
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit(self):

@@ -125,7 +125,7 @@ class TestRampParity:
                                         for n in (1, 2, 100)] + [(4, 10_000)])
     def test_builders_match_step_by_step(self, seed, n):
         rng = np.random.default_rng([11, seed])
-        layout = random_layout(rng)
+        layout = random_layout(rng, 1.0)
         t = float(rng.uniform(0.5, 2.0))
         p = rng.dirichlet(np.ones(layout.outcome_count))
         self.assert_same_run(layout, t, branch_canonical_distribution(layout, t, p),
@@ -139,7 +139,7 @@ class TestRampParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_fuzzed_schedules_match_step_by_step(self, seed):
         rng = np.random.default_rng([12, seed])
-        layout = random_layout(rng)
+        layout = random_layout(rng, 1.0)
         t = float(rng.uniform(0.5, 2.0))
         p = rng.dirichlet(np.ones(layout.outcome_count))
         self.assert_same_run(layout, t, branch_canonical_distribution(layout, t, p),
