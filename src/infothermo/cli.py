@@ -38,6 +38,7 @@ from .numerics import POLICY
 from .operators import (
     DensityOperator, MalformedPayloadError, matrix_from_json, temperature_value,
 )
+from .parallel import in_two
 from .protocols import (
     erasure_bound_suite, erasure_convergence, measurement_bound_suite,
     szilard_reconciliation,
@@ -213,6 +214,10 @@ DEFAULT_TAU = 750.0
 # whole 128-trajectory chunks, 6.4 MB at the cap, beside seven float64 arrays
 # of the ensemble's width, 5.6 MB
 MAX_TRAJECTORIES = 100_000
+# verify-bounds runs its erasure, fuzzed and Szilard checks in a forked worker
+# (on a host that allows two cores) from this many instances on: on 2 cores
+# the split was slower at 4 instances, mixed at 5 to 7 and faster from 8
+_SPLIT_INSTANCES = 8
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -268,10 +273,20 @@ def cmd_qcmi(config: dict) -> int:
 def cmd_verify_bounds(config: dict) -> int:
     temp, seed, n = config["temperature"], config["seed"], config["instances"]
     n_steps = config["n_steps"]
-    meas_rows = measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
-    eras_rows = erasure_bound_suite(seed + 1, n, n_steps=n_steps, temperature=temp)
-    fuzz_rows = erasure_bound_suite(seed + 2, n, fuzz=True, temperature=temp)
-    szilard = {f"t={t}": asdict(szilard_reconciliation(t, temp)) for t in (0.5, 0.8)}
+
+    def measurement_checks():
+        return measurement_bound_suite(seed, n, n_steps=n_steps, temperature=temp)
+
+    def erasure_checks():
+        return (erasure_bound_suite(seed + 1, n, n_steps=n_steps, temperature=temp),
+                erasure_bound_suite(seed + 2, n, fuzz=True, temperature=temp),
+                {f"t={t}": asdict(szilard_reconciliation(t, temp)) for t in (0.5, 0.8)})
+
+    # the measurement suite comes first in one process, so in two its failed
+    # check still wins over the worker's
+    meas_rows, (eras_rows, fuzz_rows, szilard) = (
+        in_two(measurement_checks, erasure_checks) if n >= _SPLIT_INSTANCES
+        else (measurement_checks(), erasure_checks()))
 
     # every checked margin with the name that replays it
     suites = (("measurement", meas_rows, "measurement_margin"),
@@ -282,7 +297,9 @@ def cmd_verify_bounds(config: dict) -> int:
              for label, rows, key in suites for r in rows]
     named += [(f"szilard {t}", s["margin"]) for t, s in szilard.items()]
     min_margin = float(min(margin for _, margin in named))
-    ok = min_margin >= -POLICY.suite_margin
+    # the margins scale with T, so below T = 1 the tolerance does too
+    tolerance = POLICY.suite_margin * min(temp, 1.0)
+    ok = min_margin >= -tolerance
     report = _provenance(config) | {
         "measurement_suite": meas_rows,
         "erasure_suite": eras_rows,
@@ -299,12 +316,12 @@ def cmd_verify_bounds(config: dict) -> int:
         write_csv(config["convergence_out"], ("n_steps", "W", "bound", "margin"), rows)
 
     if not ok:
-        offenders = [name for name, margin in named if margin < -POLICY.suite_margin]
+        offenders = [name for name, margin in named if margin < -tolerance]
         print("verify-bounds: VIOLATION "
               f"min margin {min_margin:.3e}; replay: {'; '.join(offenders)}",
               file=sys.stderr)
         return EXIT_SCIENCE
-    print(f"verify-bounds: {len(named)} margins >= {-POLICY.suite_margin:.0e}, "
+    print(f"verify-bounds: {len(named)} margins >= {-tolerance:.0e}, "
           f"min margin {min_margin:.3e} -> {config['out']}")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ the temperature defaults to 1; all works are reported in units of T.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -20,6 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .operators import MalformedPayloadError, temperature_value
+from .parallel import in_two, two_cores
 
 BARRIER_MIN_FACTOR = 8.0  # minimal barrier in units of T at protocol endpoints
 MAX_STEPS = 10_000_000    # Euler-Maruyama steps per run: tau = 10^4 at dt = 1e-3
@@ -674,61 +674,20 @@ def _integrate_parts(pot: PotentialSpec, schedule: ProtocolSchedule,
     """`_integrate` over every chunk, as a list of its parts in chunk order.
 
     An ensemble of `_SPLIT_CHUNKS` chunks or more, in a process allowed to
-    run on two cores or more, comes in two parts: one forked worker process
-    integrates the upper half of the chunks and this one the lower half.
-    Otherwise, and on a host without `os.sched_getaffinity` or where no
-    process can be started, the ensemble is one part, integrated here.
-
-    The worker sends its part, or the exception it raised, pickled through a
-    pipe, and leaves through os._exit, so it writes no file and flushes no
-    stdio buffer; its exception is raised here.  An exception here kills the
-    worker, whose part need not fit the pipe's buffer, and the worker is
-    reaped on every path.  A worker that ends without a result, killed or
-    unable to pickle it, is a ChildProcessError.
+    run on two cores or more, comes in two parts: a forked worker process
+    integrates the upper half of the chunks and this one the lower half
+    (`parallel.in_two`, which raises the worker's exception here; where no
+    process can be started, it integrates both halves here, the lower
+    first).  Otherwise, and on a host without `os.sched_getaffinity`, the
+    ensemble is one part, integrated here: one full-width part is faster
+    than two halves in a row.
     """
-    if not (len(generators) >= _SPLIT_CHUNKS and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
+    if not (len(generators) >= _SPLIT_CHUNKS and two_cores()):
         return [_integrate(pot, schedule, params, generators, 0)]
-    # imported here, since only this path uses them (numpy has loaded pickle)
-    import pickle
-    import signal
-
     half = -(-len(generators) // 2)
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return [_integrate(pot, schedule, params, generators, 0)]
-    if pid == 0:
-        try:
-            os.close(read_end)
-            try:
-                result = _integrate(pot, schedule, params, generators[half:], half * _CHUNK)
-            except BaseException as exc:   # re-raised by the parent
-                result = exc
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            lower = _integrate(pot, schedule, params, generators[:half], 0)
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or not payload:
-        raise ChildProcessError(
-            f"the worker process ended without a result (wait status {status})")
-    upper = pickle.loads(payload)
-    if isinstance(upper, BaseException):
-        raise upper
-    return [lower, upper]
+    return list(in_two(
+        lambda: _integrate(pot, schedule, params, generators[:half], 0),
+        lambda: _integrate(pot, schedule, params, generators[half:], half * _CHUNK)))
 
 
 def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
@@ -765,7 +724,8 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     anywhere (`_integrate`).  An ensemble of 16 chunks or more, in a process
     allowed to run on two cores or more, is split in two: one forked worker
     process takes the upper half of the chunks and this one the lower half
-    (`_integrate_parts`), and the results are the same bits.  Otherwise,
+    (`_integrate_parts` through `parallel.in_two`, the fork helper that
+    `verify-bounds` shares), and the results are the same bits.  Otherwise,
     and on a host without `os.sched_getaffinity`, every chunk is integrated
     in this process.  No thread is started.  Each part takes its steps in
     blocks of 512.  For each block it draws its chunks' bits (`_draw_block`,

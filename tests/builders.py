@@ -7,9 +7,16 @@ formats, whose readers are `infothermo.operators.matrix_from_json`,
 `infothermo.measurement.model_from_json` and
 `infothermo.langevin.schedule_from_json`; and the classical mutual
 information, an oracle for `qc_mutual_information` on diagonal instances.
+Hooks for the two-process paths: a pretended core count that records each
+fork, a check that no child process is left, and a deadline on a block.
 """
 
+import contextlib
+import os
+import signal
+
 import numpy as np
+import pytest
 
 from infothermo.langevin import ProtocolSchedule
 from infothermo.measurement import InvalidMeasurementError, MeasurementModel, _hermitian_sqrt
@@ -143,3 +150,38 @@ def classical_mutual_information(rho: DensityOperator, model: MeasurementModel) 
             if pks > POLICY.eig_clamp:
                 total += pks * np.log(pks / (pk[k] * ps[s]))
     return float(total)
+
+
+def allow_cores(monkeypatch, cores: int) -> list:
+    """Let this process run on `cores` cores, whatever the host allows;
+    return the list that records each fork, by the pid that made it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    forks = []
+    fork = os.fork
+
+    def recorded_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail with a TimeoutError, not hang, if the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

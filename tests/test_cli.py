@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,10 @@ from infothermo import cli, protocols
 from infothermo.cli import main
 from infothermo.memory import RECONCILIATION_BOUND, BoundReport
 
-from builders import matrix_to_json, model_to_json, projective_model, trivial_model
+from builders import (
+    allow_cores, assert_no_child_left, matrix_to_json, model_to_json, projective_model,
+    trivial_model,
+)
 
 LN2 = np.log(2.0)
 
@@ -99,6 +104,29 @@ class TestQcmi:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["qcmi", "--out", str(tmp_path / "r.json")]) == 2
+
+
+def split_verify_bounds(monkeypatch, cores: int) -> list:
+    """Make `verify-bounds` split its suites between two processes from two
+    instances on, when this process may run on `cores` cores; return the
+    list that records each fork, by the pid that made it."""
+    monkeypatch.setattr(cli, "_SPLIT_INSTANCES", 2)
+    return allow_cores(monkeypatch, cores)
+
+
+def fail_instances(monkeypatch, *instances):
+    """Fail the check of each (suite, index) in `instances` once its
+    instance has run, in whichever process runs it."""
+    label = protocols._replay_label
+
+    @contextmanager
+    def failing_label(suite, seed, index):
+        with label(suite, seed, index):
+            yield
+            if (suite, index) in instances:
+                raise protocols.NotAnErasureError("injected")
+
+    monkeypatch.setattr(protocols, "_replay_label", failing_label)
 
 
 class TestVerifyBounds:
@@ -221,6 +249,100 @@ class TestVerifyBounds:
         lines = conv.read_text().strip().split("\n")
         assert lines[0] == "n_steps,W,bound,margin"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("flags", [[], ["--n-steps", "2"], ["--temperature", "2"]],
+                             ids=["default", "n-steps-2", "temperature-2"])
+    def test_two_processes_write_the_bytes_of_one(self, tmp_path, monkeypatch, capsys,
+                                                  flags):
+        outputs = []
+        for cores in (1, 2):
+            forks = split_verify_bounds(monkeypatch, cores)
+            workdir = tmp_path / str(cores)
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            assert main(["verify-bounds", "--seed", "5", "--instances", "10", *flags,
+                         "--out", "b.json"]) == 0
+            assert forks == [os.getpid()] * (cores - 1)
+            assert_no_child_left()
+            outputs.append((Path("b.json").read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failed_check_in_the_worker_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                  cores):
+        split_verify_bounds(monkeypatch, cores)
+        fail_instances(monkeypatch, ("erasure", 3))
+        assert main(["verify-bounds", "--seed", "0", "--instances", "10",
+                     "--out", str(tmp_path / "b.json")]) == 1
+        assert_no_child_left()
+        assert capsys.readouterr() == (
+            "", "verify-bounds: check failed: injected (erasure seed=1 index=3)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_the_measurement_suites_failure_wins(self, tmp_path, monkeypatch, capsys,
+                                                 cores):
+        # the worker's erasure suite fails first in time, the measurement
+        # suite's instance 8 first in the one-process order
+        split_verify_bounds(monkeypatch, cores)
+        fail_instances(monkeypatch, ("erasure", 0), ("measurement", 8))
+        assert main(["verify-bounds", "--seed", "0", "--instances", "10",
+                     "--out", str(tmp_path / "b.json")]) == 1
+        assert_no_child_left()
+        assert capsys.readouterr().err == (
+            "verify-bounds: check failed: injected (measurement seed=0 index=8)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        suite = cli.erasure_bound_suite
+
+        def die_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return suite(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "erasure_bound_suite", die_in_the_worker)
+        split_verify_bounds(monkeypatch, 2)
+        assert main(["verify-bounds", "--seed", "0", "--instances", "10",
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr().err == (
+            "verify-bounds: error: the worker process ended without a result "
+            f"(wait status {int(signal.SIGKILL)})\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_fork_below_the_split_threshold(self, tmp_path, monkeypatch):
+        threshold = cli._SPLIT_INSTANCES
+        forks = split_verify_bounds(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_SPLIT_INSTANCES", threshold)
+        for n in (threshold - 1, threshold):
+            assert main(["verify-bounds", "--seed", "0", "--instances", str(n),
+                         "--out", str(tmp_path / f"b{n}.json")]) == 0
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("margin, code", [(-1e-37, 0), (-1e-28, 1)])
+    def test_tolerance_scales_below_unit_temperature(self, tmp_path, monkeypatch, capsys,
+                                                     margin, code):
+        # at T = 1e-30 every margin is near 1e-34 and the tolerance is 1e-36;
+        # an absolute 1e-6 would pass a violation of 10^24 T
+        suite = cli.measurement_bound_suite
+
+        def violated(*args, **kwargs):
+            rows = suite(*args, **kwargs)
+            rows[1]["sum_margin"] = margin
+            return rows
+
+        monkeypatch.setattr(cli, "measurement_bound_suite", violated)
+        assert main(["verify-bounds", "--seed", "5", "--instances", "2",
+                     "--temperature", "1e-30", "--out", str(tmp_path / "b.json")]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.startswith("verify-bounds: 12 margins >= -1e-36, min margin -1.000e-37")
+        else:
+            assert err == ("verify-bounds: VIOLATION min margin -1.000e-28; "
+                           "replay: sum seed=5 index=1\n")
 
 
 class TestTwobox:

@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import hashlib
 import itertools
@@ -41,7 +40,7 @@ from infothermo.langevin import (
 from infothermo.measurement import shannon_entropy
 from infothermo.memory import free_energy_change
 
-from builders import schedule_to_json
+from builders import allow_cores, assert_no_child_left, deadline, schedule_to_json
 
 LN2 = np.log(2.0)
 
@@ -323,36 +322,7 @@ def force_path(monkeypatch, split: bool) -> list:
     between two processes when `split`, and keep it in one otherwise, on a
     host of any core count; return the list that records each fork."""
     monkeypatch.setattr(langevin, "_SPLIT_CHUNKS", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if split else {0})
-    forks = []
-    fork = os.fork
-
-    def recorded_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Fail with a TimeoutError, not hang, if the block outlasts `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result in {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    return allow_cores(monkeypatch, 2 if split else 1)
 
 
 def inject_nans(monkeypatch, nans: dict, worker_offset: int):
