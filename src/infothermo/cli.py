@@ -44,7 +44,7 @@ from .protocols import (
     szilard_reconciliation,
 )
 from .serialization import write_csv, write_json
-from .twobox import SWEEP_COLUMNS, TwoBoxParams, point_report, sweep
+from .twobox import SWEEP_COLUMNS, TwoBoxParams, asymmetry_value, point_report, sweep
 
 EXIT_OK = 0
 EXIT_SCIENCE = 1
@@ -214,14 +214,11 @@ DEFAULT_TAU = 750.0
 # whole 128-trajectory chunks, 6.4 MB at the cap, beside seven float64 arrays
 # of the ensemble's width, 5.6 MB
 MAX_TRAJECTORIES = 100_000
-# verify-bounds runs its erasure, fuzzed and Szilard checks in a forked worker
-# (on a host that allows two cores) from this many instances on: on 2 cores
-# the split was slower at 4 instances, mixed at 5 to 7 and faster from 8
-_SPLIT_INSTANCES = 8
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """start:stop:step inside (0, 1), at most MAX_GRID_POINTS points."""
+    """start:stop:step of asymmetries (`asymmetry_value`), at most
+    MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"invalid grid {spec!r}, expected start:stop:step")
@@ -233,8 +230,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if count > MAX_GRID_POINTS:
         raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     grid = np.linspace(start, stop, count)
-    if grid.min() <= 0.0 or grid.max() >= 1.0:
-        raise ValueError("grid values must lie strictly inside (0, 1)")
+    for t in (grid.min(), grid.max()):
+        asymmetry_value(t)
     return grid
 
 
@@ -284,9 +281,7 @@ def cmd_verify_bounds(config: dict) -> int:
 
     # the measurement suite comes first in one process, so in two its failed
     # check still wins over the worker's
-    meas_rows, (eras_rows, fuzz_rows, szilard) = (
-        in_two(measurement_checks, erasure_checks) if n >= _SPLIT_INSTANCES
-        else (measurement_checks(), erasure_checks()))
+    meas_rows, (eras_rows, fuzz_rows, szilard) = in_two(measurement_checks, erasure_checks)
 
     # every checked margin with the name that replays it
     suites = (("measurement", meas_rows, "measurement_margin"),

@@ -486,7 +486,7 @@ def _may_leave_domain(rows: np.ndarray, dt: float, kick: float,
     no step from the domain reaches beyond
     x_max (1 + 2b dt - 4a dt x_max^2) + |c| dt + kick.  A step whose reach
     stays 1e-9 inside x_max cannot leave the domain, since rounding moves
-    a step by a few ulp; every other step is flagged.
+    a step by a few ulp; every other is flagged.  `_segment_plan` passes knots.
     """
     a, b, c = rows.T
     reach = (x_max * (1.0 + 2.0 * b * dt - 4.0 * a * dt * (x_max * x_max))
@@ -508,9 +508,25 @@ def check_protocol(schedule: ProtocolSchedule, params: EnsembleParams):
     check_timestep(schedule, params.dt)
 
 
-def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
-                dt: float, kick: np.float32, x_max: float,
-                height: int) -> tuple[np.ndarray, list]:
+def _segment_plan(schedule: ProtocolSchedule, dt: float, kick: float, x_max: float):
+    """Each segment's work rates and step flags, built once per call of
+    `_integrate`: `_step_block` tells segments apart by their rates' identity.
+
+    rates[s] is the work per step per unit of x^4, x^2 and x, the slope of
+    (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x).  flags[s] =
+    (shifted, guarded) is set where c is non-zero, or `_may_leave_domain`
+    flags the row, at either knot: the reach is affine in a and b and convex
+    in c, so no step of s reaches past both knots' beyond the 1e-9 margin.
+    """
+    rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
+             * dt * [1.0, -1.0, 1.0]).tolist()
+    held = np.stack([schedule.knots[:, 2] != 0.0,       # each knot's flags
+                     _may_leave_domain(schedule.knots, dt, kick, x_max)], axis=1)
+    return rates, (held[:-1] | held[1:]).tolist()
+
+
+def _block_plan(schedule: ProtocolSchedule, rates: list, flags: list, j: int,
+                count: int, dt: float, height: int) -> tuple[np.ndarray, list]:
     """The coefficients of the `count` steps from step j, from the schedule
     at grid points j .. j + count.
 
@@ -519,33 +535,25 @@ def _block_plan(schedule: ProtocolSchedule, rates: list, j: int, count: int,
     (start, stop, rates, shifted, guarded).  Step i lies in segment s when
     T_s <= t_i and t_{i+1} <= T_{s+1}; a run of segment s is a longest
     stretch of its steps inside one tile of `height` steps from the block's
-    start on which two flags hold still: `shifted`, whether c dt is
-    non-zero, and `guarded`, whether a step may leave the domain
-    (`_may_leave_domain`), so both are exact for every step of the run.
-    It takes the list rates[s], one object for all of s and for the whole
-    run, so a segment that crosses a tile or block edge or a flag's change
-    stays open across it.  A step that straddles a knot is a run of its
-    own, with a fresh tuple of its increments of lambda(t) on the step grid.
+    start, with rates[s] and flags[s] (`_segment_plan`), so a segment that
+    crosses a tile or block edge stays open across it.  A step across a
+    knot is a run of its own, with a fresh tuple of its increments of
+    lambda(t) on the step grid and the flags of its start's segment.
     """
     grid = (j + np.arange(count + 1)) * dt
     lam = schedule.coefficients_at(grid)
     a, b, c = lam[:-1].T
     drift = np.stack([-4.0 * a * dt, 1.0 + 2.0 * b * dt, c * dt], axis=1)
-    shifted = drift[:, 2] != 0.0
-    guarded = _may_leave_domain(lam[:-1], dt, float(kick), x_max)
     first = np.searchsorted(schedule.times, grid[:-1], side="right") - 1
     last = np.searchsorted(schedule.times, grid[1:], side="left") - 1
     segment = np.where(first == last, first, -1)     # -1 for a step across a knot
-    edges = segment < 0
-    for column in (segment, shifted, guarded):
-        edges[1:] |= column[1:] != column[:-1]
+    edges = (segment < 0) | (np.diff(segment, prepend=-1) != 0)
     edges[::height] = True
     starts = np.flatnonzero(edges)
-    increments = np.diff(lam, axis=0) * [1.0, -1.0, 1.0]
-    runs = [(start, stop, rates[s] if s >= 0 else tuple(increments[start].tolist()), c, g)
-            for start, stop, s, c, g in zip(
-                starts.tolist(), [*starts[1:].tolist(), count], segment[starts].tolist(),
-                shifted[starts].tolist(), guarded[starts].tolist())]
+    runs = [(start, stop, rates[s] if s >= 0 else
+             tuple(((lam[start + 1] - lam[start]) * [1.0, -1.0, 1.0]).tolist()), *flags[f])
+            for start, stop, s, f in zip(starts.tolist(), [*starts[1:].tolist(), count],
+                                         segment[starts].tolist(), first[starts].tolist())]
     return drift, runs
 
 
@@ -562,13 +570,10 @@ def _step_block(x, works, sums, factors, runs, table, bits, tile, rows, open_rat
     0-d views of the caller's copy of `_block_plan`'s drift, and adds a row
     of `tile`, viewed through `rows` as its first n_traj columns, to x in
     place; adding float64(+-kick) is what adding the float32 kick to x
-    computes.  The clamp runs only on the steps of the runs `_block_plan`
-    guards where max x^2 >= x_max^2, which every step with a position
-    outside the domain meets, so the positions are those of clamping every
-    step (the drift map is increasing on the domain and the kick is exactly
-    +-kick, so an unguarded step cannot leave it; on the default erasure
-    of the a = 1, b = 6.5 well at T = 1 and dt = 1e-3, symmetric or at
-    ratio 4, the reach is at most 2.8396 and no step is guarded).
+    computes.  Only a step of a guarded run clamps, and only where
+    max x^2 >= x_max^2, which any position outside the domain trips; no step
+    of an unguarded segment can leave the domain (`_segment_plan`), so the
+    positions are those of clamping every step.
 
     A step inside one linear segment of the schedule adds x^4, x^2 or x to
     the running `sums`, for each coefficient the segment varies; the sums
@@ -648,17 +653,13 @@ def _integrate(pot: PotentialSpec, schedule: ProtocolSchedule, params: EnsembleP
     drift = np.empty((_NOISE_BLOCK, 3))
     factors = [tuple(drift[i, k, ...] for k in range(3)) for i in range(_NOISE_BLOCK)]
     clamp_hits = 0
-    # the work per step in segment s per unit of x^4, x^2 and x: the slope
-    # of (a, -b, c) times dt, since dV/d(a, b, c) = (x^4, -x^2, x); built
-    # once per call, since `_step_block` tells segments apart by identity
-    rates = (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
-             * dt * [1.0, -1.0, 1.0]).tolist()
+    rates, flags = _segment_plan(schedule, dt, float(kick), pot.x_max)
     sums = np.zeros((3, n_traj))           # running sums of x^4, x^2, x in a segment
     open_rates = ()                        # the rates of the segment whose sums are open
     for j in range(0, n_steps, _NOISE_BLOCK):
         count = min(_NOISE_BLOCK, n_steps - j)
         bits = _draw_block(generators, count, n_traj)
-        drift[:count], runs = _block_plan(schedule, rates, j, count, dt, kick, pot.x_max,
+        drift[:count], runs = _block_plan(schedule, rates, flags, j, count, dt,
                                           tile.shape[0])
         open_rates, hits = _step_block(x, works, sums, factors, runs, table, bits, tile,
                                        rows, open_rates, pot.x_max)
@@ -724,20 +725,18 @@ def simulate_erasure(pot: PotentialSpec, schedule: ProtocolSchedule,
     anywhere (`_integrate`).  An ensemble of 16 chunks or more, in a process
     allowed to run on two cores or more, is split in two: one forked worker
     process takes the upper half of the chunks and this one the lower half
-    (`_integrate_parts` through `parallel.in_two`, the fork helper that
-    `verify-bounds` shares), and the results are the same bits.  Otherwise,
-    and on a host without `os.sched_getaffinity`, every chunk is integrated
-    in this process.  No thread is started.  Each part takes its steps in
-    blocks of 512.  For each block it draws its chunks' bits (`_draw_block`,
-    64 bytes a trajectory in whole 16-byte chunks), plans its runs of one
-    set of work rates and one pair of step flags within one tile
-    (`_block_plan`), steps it run by run (`_step_block`), expanding its bits
-    a tile at a time through a 256-row table of each byte's kicks into one
-    reused float64 tile of about 2^15 kicks with 128 columns a chunk
-    (`_expand_tile`), whose row views are made once per call, and stops
+    (`_integrate_parts`, through the fork helper `parallel.in_two`), and the
+    results are the same bits.  Otherwise, and on a host without
+    `os.sched_getaffinity`, every chunk is integrated in this process.  No
+    thread is started.  Each part decides each segment's work rates and
+    step flags once (`_segment_plan`) and takes its steps in blocks of 512:
+    it draws a block's bits (`_draw_block`, 64 bytes a trajectory in whole
+    16-byte chunks), plans its runs of one segment within one tile
+    (`_block_plan`) and steps it run by run (`_step_block`), expanding its
+    bits a tile at a time through a 256-row table of each byte's kicks into
+    one reused float64 tile of about 2^15 kicks (`_expand_tile`), and stops
     after the first block that leaves a position NaN.  The coefficients are
-    evaluated per block, so memory does not grow with the step count (at
-    most MAX_STEPS).
+    evaluated per block, so memory does not grow with the step count.
 
     A divergence raises one FloatingPointError, whatever the number of
     parts.  It names the earliest block after which a part stopped and,

@@ -8,6 +8,7 @@ explicit temperature is supplied, and k_B = 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,13 @@ class MalformedPayloadError(ValueError):
 
 
 def temperature_value(temperature) -> float:
-    """The bath temperature (k_B = 1) as a float; it must be positive."""
+    """The bath temperature (k_B = 1) as a float; it must be positive and
+    normal, since a subnormal T loses its precision and underflows the
+    tolerances that scale with it."""
     t = float(temperature)
-    if not t > 0:
-        raise ValueError(f"temperature must be positive, got {t}")
+    if not t >= sys.float_info.min:
+        raise ValueError(f"temperature must be positive and at least the smallest "
+                         f"normal float {sys.float_info.min}, got {t}")
     return t
 
 

@@ -11,11 +11,22 @@ b costs -T ln(b/a), free expansion costs nothing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import temperature_value
+
+
+def asymmetry_value(t) -> float:
+    """The box asymmetry t as a float; it must lie inside (0, 1) and be
+    normal, since the measurement works take log(1/t)."""
+    t = float(t)
+    if not sys.float_info.min <= t < 1.0:
+        raise ValueError(f"t must lie strictly inside (0, 1) and be at least the "
+                         f"smallest normal float {sys.float_info.min}, got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -27,8 +38,7 @@ class TwoBoxParams:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie strictly inside (0, 1), got {self.t}")
+        object.__setattr__(self, "t", asymmetry_value(self.t))
         if not self.volume > 0:
             raise ValueError(f"volume must be positive, got {self.volume}")
         object.__setattr__(self, "temperature", temperature_value(self.temperature))

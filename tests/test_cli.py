@@ -106,14 +106,6 @@ class TestQcmi:
         assert main(["qcmi", "--out", str(tmp_path / "r.json")]) == 2
 
 
-def split_verify_bounds(monkeypatch, cores: int) -> list:
-    """Make `verify-bounds` split its suites between two processes from two
-    instances on, when this process may run on `cores` cores; return the
-    list that records each fork, by the pid that made it."""
-    monkeypatch.setattr(cli, "_SPLIT_INSTANCES", 2)
-    return allow_cores(monkeypatch, cores)
-
-
 def fail_instances(monkeypatch, *instances):
     """Fail the check of each (suite, index) in `instances` once its
     instance has run, in whichever process runs it."""
@@ -250,18 +242,20 @@ class TestVerifyBounds:
         assert lines[0] == "n_steps,W,bound,margin"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("flags", [[], ["--n-steps", "2"], ["--temperature", "2"]],
-                             ids=["default", "n-steps-2", "temperature-2"])
+    @pytest.mark.parametrize("flags", [
+        ["--instances", "10"], ["--instances", "10", "--n-steps", "2"],
+        ["--instances", "10", "--temperature", "2"], ["--instances", "1"],
+    ], ids=["default", "n-steps-2", "temperature-2", "instances-1"])
     def test_two_processes_write_the_bytes_of_one(self, tmp_path, monkeypatch, capsys,
                                                   flags):
+        # two cores split the suites at any number of instances
         outputs = []
         for cores in (1, 2):
-            forks = split_verify_bounds(monkeypatch, cores)
+            forks = allow_cores(monkeypatch, cores)
             workdir = tmp_path / str(cores)
             workdir.mkdir()
             monkeypatch.chdir(workdir)
-            assert main(["verify-bounds", "--seed", "5", "--instances", "10", *flags,
-                         "--out", "b.json"]) == 0
+            assert main(["verify-bounds", "--seed", "5", *flags, "--out", "b.json"]) == 0
             assert forks == [os.getpid()] * (cores - 1)
             assert_no_child_left()
             outputs.append((Path("b.json").read_bytes(), capsys.readouterr()))
@@ -270,7 +264,7 @@ class TestVerifyBounds:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_failed_check_in_the_worker_exits_1(self, tmp_path, monkeypatch, capsys,
                                                   cores):
-        split_verify_bounds(monkeypatch, cores)
+        allow_cores(monkeypatch, cores)
         fail_instances(monkeypatch, ("erasure", 3))
         assert main(["verify-bounds", "--seed", "0", "--instances", "10",
                      "--out", str(tmp_path / "b.json")]) == 1
@@ -284,7 +278,7 @@ class TestVerifyBounds:
                                                  cores):
         # the worker's erasure suite fails first in time, the measurement
         # suite's instance 8 first in the one-process order
-        split_verify_bounds(monkeypatch, cores)
+        allow_cores(monkeypatch, cores)
         fail_instances(monkeypatch, ("erasure", 0), ("measurement", 8))
         assert main(["verify-bounds", "--seed", "0", "--instances", "10",
                      "--out", str(tmp_path / "b.json")]) == 1
@@ -303,7 +297,7 @@ class TestVerifyBounds:
             return suite(*args, **kwargs)
 
         monkeypatch.setattr(cli, "erasure_bound_suite", die_in_the_worker)
-        split_verify_bounds(monkeypatch, 2)
+        allow_cores(monkeypatch, 2)
         assert main(["verify-bounds", "--seed", "0", "--instances", "10",
                      "--out", str(tmp_path / "b.json")]) == 2
         assert_no_child_left()
@@ -311,16 +305,6 @@ class TestVerifyBounds:
             "verify-bounds: error: the worker process ended without a result "
             f"(wait status {int(signal.SIGKILL)})\n")
         assert list(tmp_path.iterdir()) == []
-
-    def test_no_fork_below_the_split_threshold(self, tmp_path, monkeypatch):
-        threshold = cli._SPLIT_INSTANCES
-        forks = split_verify_bounds(monkeypatch, 2)
-        monkeypatch.setattr(cli, "_SPLIT_INSTANCES", threshold)
-        for n in (threshold - 1, threshold):
-            assert main(["verify-bounds", "--seed", "0", "--instances", str(n),
-                         "--out", str(tmp_path / f"b{n}.json")]) == 0
-        assert forks == [os.getpid()]
-        assert_no_child_left()
 
     @pytest.mark.parametrize("margin, code", [(-1e-37, 0), (-1e-28, 1)])
     def test_tolerance_scales_below_unit_temperature(self, tmp_path, monkeypatch, capsys,
@@ -675,7 +659,9 @@ def case(argv, config, *, id, message=""):
 
 # Each of these once ended in a traceback (the first seventeen), with the
 # wrong exit code (the next seven), sized its arrays from the input with no
-# cap (the next three), or gave a message that names no option (the last).
+# cap (the next three), gave a message that names no option (the next one),
+# or exited 1 as a failed check (the last three: a subnormal t overflows the
+# 1/t of the measurement works, a subnormal T underflows the tolerance).
 # Relative paths resolve in tmp_path.
 VERIFY = ["verify-bounds", "--seed", "1", "--instances", "1"]
 LANGEVIN = ["langevin", "--seed", "1", "--n-traj", "8", "--tau", "1"]
@@ -722,6 +708,12 @@ REJECTED_INPUTS = [
     case([*VERIFY, "--n-steps", "100001"], None, id="verify-too-many-steps"),
     case([*LANGEVIN, "--out", "/"], None, message="--out needs a file name",
          id="langevin-out-without-file-name"),
+    case(["twobox", "--t", "1e-320"], None, message="smallest normal float",
+         id="twobox-subnormal-t"),
+    case(["sweep", "--grid", "1e-320:0.5:0.1"], None, message="smallest normal float",
+         id="sweep-subnormal-grid"),
+    case(["verify-bounds", "--seed", "1", "--instances", "2", "--temperature", "1e-320"],
+         None, message="smallest normal float", id="verify-subnormal-temperature"),
 ]
 
 

@@ -27,6 +27,7 @@ from infothermo.langevin import (
     _kick_table,
     _may_leave_domain,
     _sample_initial_positions,
+    _segment_plan,
     basin_free_energies,
     check_timestep,
     erasure_protocol_schedule,
@@ -51,10 +52,22 @@ def frozen_schedule(pot: PotentialSpec, duration: float) -> ProtocolSchedule:
     return ProtocolSchedule(duration, np.array([0.0, duration]), np.vstack([lam, lam]))
 
 
-def segment_rates(schedule: ProtocolSchedule, dt: float) -> list:
-    """Each segment's work rates per step, built as `simulate_erasure` does."""
-    return (np.diff(schedule.knots, axis=0) / np.diff(schedule.times)[:, None]
-            * dt * [1.0, -1.0, 1.0]).tolist()
+def kernel_plan(schedule: ProtocolSchedule, dt: float, temperature: float = 1.0):
+    """Each segment's rates and flags from `_segment_plan`, with the kick and
+    domain end that `simulate_erasure` gives it."""
+    kick = float(np.float32(np.sqrt(2.0 * temperature * dt)))
+    return _segment_plan(schedule, dt, kick, PotentialSpec.x_max)
+
+
+def block_plans(schedule: ProtocolSchedule, plan: tuple, dt: float, height: int):
+    """(j, count, drift, runs) of every 512-step block of a run, as the
+    kernel plans them from `kernel_plan`'s `plan` with tiles of `height` rows."""
+    rates, flags = plan
+    n_steps = round(schedule.duration / dt)
+    block = langevin._NOISE_BLOCK
+    for j in range(0, n_steps, block):
+        count = min(block, n_steps - j)
+        yield (j, count, *_block_plan(schedule, rates, flags, j, count, dt, height))
 
 
 def tile_edge_schedule() -> ProtocolSchedule:
@@ -74,36 +87,10 @@ def tile_edge_schedule() -> ProtocolSchedule:
 
 def flagged_steps(schedule: ProtocolSchedule, params: EnsembleParams) -> int:
     """Steps of a `simulate_erasure` run in the runs that the kernel's own
-    `_block_plan` guards, block by block, with the kernel's kick and domain
-    end."""
-    n_steps = round(schedule.duration / params.dt)
-    kick = np.float32(np.sqrt(2.0 * params.temperature * params.dt))
-    rates = segment_rates(schedule, params.dt)
-    block = langevin._NOISE_BLOCK
-    flagged = 0
-    for j in range(0, n_steps, block):
-        _, runs = _block_plan(schedule, rates, j, min(block, n_steps - j), params.dt,
-                              kick, PotentialSpec.x_max, block)
-        flagged += sum(stop - start for start, stop, *_, guarded in runs if guarded)
-    return flagged
-
-
-def flag_cuts(schedule: ProtocolSchedule, runs: list, j: int, count: int, dt: float,
-              kick: np.float32, height: int) -> list:
-    """Assert that each run's flags equal every one of its steps' own, from
-    the step's c dt and `_may_leave_domain`, and that a run which follows
-    one of the same rates inside a tile differs from it in a flag; return
-    the steps where such runs start."""
-    lam = schedule.coefficients_at((j + np.arange(count + 1)) * dt)[:-1]
-    own = list(zip((lam[:, 2] * dt != 0.0).tolist(),
-                   _may_leave_domain(lam, dt, float(kick), PotentialSpec.x_max).tolist()))
-    cuts = []
-    for before, (start, stop, r, *flags) in zip([None] + runs[:-1], runs):
-        assert all(own[i] == tuple(flags) for i in range(start, stop))
-        if before is not None and before[2] is r and start % height:
-            assert list(before[3:]) != flags
-            cuts.append(j + start)
-    return cuts
+    plan guards."""
+    plan = kernel_plan(schedule, params.dt, params.temperature)
+    return sum(stop - start for *_, runs in block_plans(schedule, plan, params.dt, 512)
+               for start, stop, *_, guarded in runs if guarded)
 
 
 def quad_basin_weights(pot: PotentialSpec) -> tuple:
@@ -585,7 +572,7 @@ class TestSimulation:
 
     def test_matches_stepwise_reference_with_the_clamp_firing(self):
         # a push tilt of 150 drives positions past the domain's left end:
-        # the guard flag changes inside segments, and the clamp must fire
+        # the push segments are guarded, and the clamp must fire
         assert assert_matches_stepwise_reference(130, 3000, push_tilt=150.0) > 0
 
     def test_clamp_guard_matches_clamping_every_step(self, monkeypatch):
@@ -669,64 +656,82 @@ class TestSimulation:
         # the runs of both blocks of `tile_edge_schedule` with 128-row tiles
         sched = tile_edge_schedule()
         dt, height = 1e-3, 128
-        rates = segment_rates(sched, dt)
-        kick = np.float32(np.sqrt(2.0 * dt))
+        rates, flags = kernel_plan(sched, dt)
         grid = np.arange(801) * dt
         starts, straddles, last = [], [], None
-        for j, count in ((0, 512), (512, 288)):
-            drift, runs = _block_plan(sched, rates, j, count, dt, kick, PotentialSpec.x_max,
-                                      height)
+        for j, count, drift, runs in block_plans(sched, (rates, flags), dt, height):
             assert drift.shape == (count, 3)
-            flag_cuts(sched, runs, j, count, dt, kick, height)
             # the runs cover [0, count) in order, each inside one tile
             assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
             assert runs[-1][1] == count
-            for start, stop, r, *flags in runs:
+            for start, stop, r, *run_flags in runs:
                 assert start < stop and start // height == (stop - 1) // height
                 inside = [s for s in range(len(rates)) if sched.times[s] <= grid[j + start]
                           and grid[j + stop] <= sched.times[s + 1]]
                 if inside:
-                    # a run inside segment s carries rates[s] itself, and a
-                    # run of the same rates before it ends on a tile edge or
-                    # where a flag flips
+                    # a run inside segment s carries rates[s] itself and its
+                    # flags, and a run of the same rates before it ends on a
+                    # tile edge
                     assert r is rates[inside[0]]
+                    assert run_flags == flags[inside[0]]
                     if last is not None and last[2] is r:
-                        assert (j + start) % height == 0 or last[3:] != tuple(flags)
+                        assert (j + start) % height == 0
                 else:
                     # a step across a knot is a run of its own, with its own
-                    # grid increments in a fresh tuple
+                    # grid increments in a fresh tuple and the flags of the
+                    # segment its start lies in
                     assert stop == start + 1 and type(r) is tuple
                     lam = sched.coefficients_at(grid[j + start:j + stop + 1])
                     assert r == tuple((np.diff(lam, axis=0)[0] * [1.0, -1.0, 1.0]).tolist())
+                    s = np.searchsorted(sched.times, grid[j + start], side="right") - 1
+                    assert run_flags == flags[s]
                     straddles.append(j + start)
                 starts.append(j + start)
-                last = (start, stop, r, *flags)
+                last = (start, stop, r)
         assert straddles == [256]
         assert {127, 128, 129, 256, 257, 384, 512, 640, 700} <= set(starts)
         # the segment across step 512 stays one set of rates in both blocks
         assert 513 not in starts
 
-    @pytest.mark.parametrize("push_tilt, cuts", [(150.0, [1381, 2234, 2830]),
-                                                 (None, [1381])])
-    def test_block_plan_cuts_runs_where_a_flag_flips(self, push_tilt, cuts):
-        # the symmetric erasure at tau = 3 in the 85-row tiles of 300
-        # trajectories: c dt turns non-zero at step 1381, inside the first
-        # push segment, and a push tilt of 150 also guards steps 2234 to
-        # 2829, inside one segment and across tile and block edges
-        pot = symmetric_double_well()
-        sched = erasure_protocol_schedule(pot, 3.0, push_tilt)
-        dt, height = 1e-3, langevin._TILE // 384
-        rates = segment_rates(sched, dt)
-        kick = np.float32(np.sqrt(2.0 * dt))
-        found, guarded = [], 0
-        for j in range(0, 3000, 512):
-            count = min(512, 3000 - j)
-            _, runs = _block_plan(sched, rates, j, count, dt, kick, PotentialSpec.x_max,
-                                  height)
-            found += flag_cuts(sched, runs, j, count, dt, kick, height)
-            guarded += sum(stop - start for start, stop, *_, g in runs if g)
-        assert found == cuts
-        assert guarded == (596 if push_tilt else 0)
+    @pytest.mark.parametrize("ratio, tau, push_tilt, height, guarded", [
+        (None, None, None, 128, 0), (1.0, 3.0, None, 85, 0),
+        # a push tilt of 150 guards its last three push segments and the
+        # restore segment in full, steps 2168 to 2849
+        (1.0, 3.0, 150.0, 85, 682),
+        (1.0, 750.0, None, 128, 0), (4.0, 480.0, None, 128, 0),   # criterion 7's runs
+        (4.0, 8.0, None, 128, 0),
+        (4.0, 20.0, None, 128, 0), (1.0, 100.0, None, 128, 0),    # the benchmark's runs
+    ], ids=["tile-edges", "tau-3", "tau-3-push-tilt-150", "ratio-1-tau-750",
+            "ratio-4-tau-480", "ratio-4-tau-8", "ratio-4-tau-20", "ratio-1-tau-100"])
+    def test_run_flags_cover_every_step(self, ratio, tau, push_tilt, height, guarded):
+        # every step whose c dt is non-zero lies in a shifted run, every step
+        # that `_may_leave_domain` flags in a guarded run, and inside a tile
+        # the runs change only where the segment does, at a knot; the tau = 3
+        # runs take the 85-row tiles of 300 trajectories
+        dt = 1e-3
+        kick = float(np.float32(np.sqrt(2.0 * dt)))
+        if ratio is None:
+            sched = tile_edge_schedule()
+        else:
+            pot = (tune_tilt_for_ratio(1.0, 6.5, ratio) if ratio != 1.0
+                   else symmetric_double_well())
+            sched = erasure_protocol_schedule(pot, tau, push_tilt)
+        guarded_steps = 0
+        for j, count, drift, runs in block_plans(sched, kernel_plan(sched, dt), dt, height):
+            run_flags = np.zeros((count, 2), bool)
+            for start, stop, _, shifted, guard in runs:
+                run_flags[start:stop] = shifted, guard
+            grid = (j + np.arange(count + 1)) * dt
+            assert (run_flags[:, 0] >= (drift[:, 2] != 0.0)).all()
+            assert (run_flags[:, 1] >= _may_leave_domain(
+                sched.coefficients_at(grid[:-1]), dt, kick, PotentialSpec.x_max)).all()
+            # a knot strictly between t_{i-1} and t_{i+1} for each run start i
+            # inside a tile: steps i - 1 and i do not share a segment
+            cuts = np.array([start for start, *_ in runs if start % height], int)
+            assert (np.searchsorted(sched.times, grid[cuts + 1], side="left")
+                    > np.searchsorted(sched.times, grid[cuts - 1], side="right")).all()
+            guarded_steps += int(run_flags[:, 1].sum())
+        assert guarded_steps == guarded
 
     def test_chunk_independent_of_ensemble_size_and_threads(self):
         # 128 trajectories are one chunk; 300 are three, drawn one after
@@ -779,10 +784,9 @@ class TestSimulation:
         # edge and change the rounding
         pot = tune_tilt_for_ratio(1.0, 6.5, 4.0)
         sched = erasure_protocol_schedule(pot, 1.5)
-        kick = np.float32(np.sqrt(2.0e-3))
-        rates = segment_rates(sched, 1e-3)
-        _, runs0 = _block_plan(sched, rates, 0, 512, 1e-3, kick, PotentialSpec.x_max, 128)
-        _, runs1 = _block_plan(sched, rates, 512, 512, 1e-3, kick, PotentialSpec.x_max, 128)
+        rates, flags = kernel_plan(sched, 1e-3)
+        _, runs0 = _block_plan(sched, rates, flags, 0, 512, 1e-3, 128)
+        _, runs1 = _block_plan(sched, rates, flags, 512, 512, 1e-3, 128)
         assert runs0[-1][1] == 512 and runs1[0][0] == 0
         assert runs0[-1][2] is runs1[0][2]
         assert runs0[-1][2] is rates[np.searchsorted(sched.times, 0.512) - 1]
@@ -1083,7 +1087,8 @@ class TestNoiseFill:
 
 class TestNoEscapeRule:
     """`_may_leave_domain`: a step it does not flag keeps every position of
-    the domain inside it, and it flags no step of the production runs."""
+    the domain inside it, and it flags no knot, so no segment, of the
+    production runs."""
 
     def test_unflagged_steps_stay_inside_the_domain(self):
         # random rows (a, b, c), temperatures in [0.1, 4] and dt that
@@ -1120,8 +1125,8 @@ class TestNoEscapeRule:
     ])
     def test_flags_no_step_of_the_production_runs(self, ratio, tau):
         pot = tune_tilt_for_ratio(1.0, 6.5, ratio) if ratio != 1.0 else symmetric_double_well()
-        params = EnsembleParams(n_traj=1, seed=0)
-        assert flagged_steps(erasure_protocol_schedule(pot, tau), params) == 0
+        _, flags = kernel_plan(erasure_protocol_schedule(pot, tau), 1e-3)
+        assert not any(guarded for _, guarded in flags)
 
 
 class TestFokkerPlanckOracle:
